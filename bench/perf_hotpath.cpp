@@ -11,9 +11,8 @@
 //   fwd   forward-heavy NLNR point-to-point on a wider topology, where
 //         most records are re-queued by intermediaries (the forward path).
 //
-// Each workload runs both mailbox implementations (core::mailbox and
-// core::hybrid_mailbox). Run with --bench-json=<file> to capture the
-// machine-readable report; `--tiny` shrinks everything for the CI smoke.
+// Run with --bench-json=<file> to capture the machine-readable report;
+// `--tiny` shrinks everything for the CI smoke.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -22,7 +21,6 @@
 
 #include "bench_util.hpp"
 #include "core/comm_world.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/mailbox.hpp"
 #include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
@@ -42,7 +40,7 @@ struct knobs {
 struct run_result {
   std::uint64_t delivered = 0;
   std::uint64_t hops = 0;      ///< hops_sent summed over ranks
-  std::uint64_t bytes = 0;     ///< wire/handoff bytes
+  std::uint64_t bytes = 0;     ///< local + remote packet bytes
   double wall = 0;             ///< max over ranks, seconds
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
@@ -97,13 +95,12 @@ run_result run_world(int nranks, const Body& body) {
 // ------------------------------------------------------------- workloads
 
 /// Every rank sends `rounds` small messages to every other rank.
-template <class MailboxT>
 run_result all_to_all(const routing::topology& topo, routing::scheme_kind k,
                       int rounds, std::size_t capacity) {
   return run_world(topo.num_ranks(), [&](mpisim::comm& c) {
     core::comm_world world(c, topo, k);
     std::uint64_t sink = 0;
-    MailboxT mb(
+    core::mailbox<std::uint64_t> mb(
         world, [&](const std::uint64_t& v) { sink += v; }, capacity);
     c.barrier();
     const double t0 = c.wtime();
@@ -119,13 +116,12 @@ run_result all_to_all(const routing::topology& topo, routing::scheme_kind k,
 }
 
 /// Every rank broadcasts `rounds` small messages.
-template <class MailboxT>
 run_result bcast_storm(const routing::topology& topo, routing::scheme_kind k,
                        int rounds, std::size_t capacity) {
   return run_world(topo.num_ranks(), [&](mpisim::comm& c) {
     core::comm_world world(c, topo, k);
     std::uint64_t sink = 0;
-    MailboxT mb(
+    core::mailbox<std::uint64_t> mb(
         world, [&](const std::uint64_t& v) { sink += v; }, capacity);
     c.barrier();
     const double t0 = c.wtime();
@@ -140,8 +136,7 @@ run_result bcast_storm(const routing::topology& topo, routing::scheme_kind k,
 // ------------------------------------------------------------- reporting
 
 void report(bench::table& t, const std::string& section,
-            const std::string& scheme, const std::string& impl,
-            const run_result& r) {
+            const std::string& scheme, const run_result& r) {
   const double msgs_per_sec =
       r.wall > 0 ? static_cast<double>(r.delivered) / r.wall : 0;
   const double mb_per_sec =
@@ -156,11 +151,13 @@ void report(bench::table& t, const std::string& section,
       r.delivered > 0 ? static_cast<double>(r.pool_misses) /
                             static_cast<double>(r.delivered)
                       : 0;
-  t.add_row({scheme, impl, std::to_string(r.delivered),
+  t.add_row({scheme, std::to_string(r.delivered),
              bench::fmt(r.wall), bench::fmt(msgs_per_sec),
              bench::fmt(mb_per_sec), bench::fmt(hit_pct),
              bench::fmt(allocs_per_msg, 4)});
-  const std::string key = section + "." + scheme + "." + impl;
+  // The ".mailbox" key suffix keeps metric names stable across revisions
+  // of BENCH_hotpath.json and the perf_hotpath_json_check gate.
+  const std::string key = section + "." + scheme + ".mailbox";
   auto& rep = bench::json_report::instance();
   rep.add_metric(key + ".msgs_per_sec", msgs_per_sec);
   rep.add_metric(key + ".mb_per_sec", mb_per_sec);
@@ -169,8 +166,8 @@ void report(bench::table& t, const std::string& section,
 }
 
 std::vector<std::string> columns() {
-  return {"scheme", "impl",   "delivered", "wall (s)",
-          "msgs/s", "MB/s",   "pool hit%", "allocs/msg"};
+  return {"scheme", "delivered", "wall (s)",  "msgs/s",
+          "MB/s",   "pool hit%", "allocs/msg"};
 }
 
 constexpr routing::scheme_kind all_schemes[] = {
@@ -219,12 +216,8 @@ int main(int argc, char** argv) {
   {
     bench::table t(columns());
     for (const auto k : all_schemes) {
-      report(t, "p2p", scheme_name(k), "mailbox",
-             all_to_all<core::mailbox<std::uint64_t>>(topo, k, kn.p2p_rounds,
-                                                      kn.capacity));
-      report(t, "p2p", scheme_name(k), "hybrid",
-             all_to_all<core::hybrid_mailbox<std::uint64_t>>(
-                 topo, k, kn.p2p_rounds, kn.capacity));
+      report(t, "p2p", scheme_name(k),
+             all_to_all(topo, k, kn.p2p_rounds, kn.capacity));
     }
     t.print();
   }
@@ -237,12 +230,8 @@ int main(int argc, char** argv) {
     bench::table t(columns());
     for (const auto k : {routing::scheme_kind::no_route,
                          routing::scheme_kind::nlnr}) {
-      report(t, "churn", scheme_name(k), "mailbox",
-             all_to_all<core::mailbox<std::uint64_t>>(topo, k, kn.p2p_rounds,
-                                                      256));
-      report(t, "churn", scheme_name(k), "hybrid",
-             all_to_all<core::hybrid_mailbox<std::uint64_t>>(
-                 topo, k, kn.p2p_rounds, 256));
+      report(t, "churn", scheme_name(k),
+             all_to_all(topo, k, kn.p2p_rounds, 256));
     }
     t.print();
   }
@@ -253,13 +242,8 @@ int main(int argc, char** argv) {
   {
     bench::table t(columns());
     for (const auto k : all_schemes) {
-      report(t, "bcast", scheme_name(k), "mailbox",
-             bcast_storm<core::mailbox<std::uint64_t>>(topo, k,
-                                                       kn.bcast_rounds,
-                                                       kn.capacity));
-      report(t, "bcast", scheme_name(k), "hybrid",
-             bcast_storm<core::hybrid_mailbox<std::uint64_t>>(
-                 topo, k, kn.bcast_rounds, kn.capacity));
+      report(t, "bcast", scheme_name(k),
+             bcast_storm(topo, k, kn.bcast_rounds, kn.capacity));
     }
     t.print();
   }
@@ -269,12 +253,9 @@ int main(int argc, char** argv) {
                 "intermediary, exercising the span-based forward path.");
   {
     bench::table t(columns());
-    report(t, "fwd", "NLNR", "mailbox",
-           all_to_all<core::mailbox<std::uint64_t>>(
-               wide, routing::scheme_kind::nlnr, kn.fwd_rounds, kn.capacity));
-    report(t, "fwd", "NLNR", "hybrid",
-           all_to_all<core::hybrid_mailbox<std::uint64_t>>(
-               wide, routing::scheme_kind::nlnr, kn.fwd_rounds, kn.capacity));
+    report(t, "fwd", "NLNR",
+           all_to_all(wide, routing::scheme_kind::nlnr, kn.fwd_rounds,
+                      kn.capacity));
     t.print();
   }
 

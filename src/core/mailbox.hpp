@@ -828,10 +828,10 @@ class mailbox {
           std::min<std::size_t>(capacity_, 4096));
       batch.resize(sizeof(double));  // push-timestamp slot
     }
-    // No hop event for the ring push: handoff counts as a network leg in
-    // journey::legs(), and the ring is rank-internal. Ring residency is
-    // still visible — the rank-side drain records the deliver hop with a
-    // span starting at the batch's push timestamp.
+    // No hop event for the ring push: journey::legs() counts wire legs
+    // only, and the ring is rank-internal. Ring residency is still
+    // visible — the rank-side drain records the deliver hop with a span
+    // starting at the batch's push timestamp.
     if (trace != nullptr) append_trace_escape(batch, *trace);
     // Always recorded as a plain record addressed to this rank: broadcast
     // fan-out already happened on the engine, only the local delivery is

@@ -20,12 +20,12 @@
 
 #include "common/assert.hpp"
 #include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
-#include "mpisim/envelope.hpp"
 #include "mpisim/ops.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/types.hpp"
 #include "ser/serialize.hpp"
 #include "transport/endpoint.hpp"
+#include "transport/envelope.hpp"
 
 namespace ygm::mpisim {
 
@@ -223,7 +223,7 @@ request comm::irecv(T& out, int src, int tag) const {
   const std::uint64_t ctx = ctx_p2p_;
   return request{[ep, &out, src, tag, ctx](bool block) {
     if (block) {
-      envelope e = ep->recv_match(src, tag, ctx);
+      transport::envelope e = ep->recv_match(src, tag, ctx);
       out = ser::from_bytes<T>(e.payload);
       return true;
     }

@@ -136,8 +136,6 @@ std::string_view hop_event_name(hop_kind k) noexcept {
       return "trace.enqueue";
     case hop_kind::flush:
       return "trace.flush";
-    case hop_kind::handoff:
-      return "trace.handoff";
     case hop_kind::forward:
       return "trace.forward";
     case hop_kind::deliver:
@@ -149,9 +147,8 @@ std::string_view hop_event_name(hop_kind k) noexcept {
 }
 
 bool parse_hop_event_name(std::string_view name, hop_kind& out) noexcept {
-  for (const auto k : {hop_kind::enqueue, hop_kind::flush, hop_kind::handoff,
-                       hop_kind::forward, hop_kind::deliver,
-                       hop_kind::credit_stall}) {
+  for (const auto k : {hop_kind::enqueue, hop_kind::flush, hop_kind::forward,
+                       hop_kind::deliver, hop_kind::credit_stall}) {
     if (name == hop_event_name(k)) {
       out = k;
       return true;

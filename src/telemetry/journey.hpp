@@ -6,7 +6,7 @@
 // whichever transport it arrived by (live session ring, or parsed back out
 // of a Chrome trace JSON). stitch() groups hops by (world, journey id) and
 // orders each group causally: by completed-leg index first, then by the
-// within-leg stage order forward -> enqueue -> flush/handoff -> deliver
+// within-leg stage order forward -> enqueue -> flush -> deliver
 // (wall timestamps cannot order a leg's stages — a flush span's start time
 // IS its enqueue time).
 #pragma once
@@ -30,7 +30,7 @@ struct hop_record {
   std::uint64_t id = 0;
   hop_kind kind = hop_kind::enqueue;
   double ts_us = 0;
-  double dur_us = 0;   ///< queue residency for flush/handoff, else 0
+  double dur_us = 0;   ///< queue residency for flush, else 0
   std::uint32_t hop = 0;
   std::uint64_t bytes = 0;
 };
@@ -43,7 +43,6 @@ inline int hop_stage_order(hop_kind k) noexcept {
     case hop_kind::enqueue:
       return 1;
     case hop_kind::flush:
-    case hop_kind::handoff:
       return 2;
     case hop_kind::deliver:
       return 3;
@@ -63,11 +62,11 @@ struct journey {
           return h.kind == hop_kind::deliver;
         }));
   }
-  /// Completed network legs = wire/handoff transfers the message rode.
+  /// Completed network legs = coalesced flushes the message rode.
   std::size_t legs() const {
     return static_cast<std::size_t>(
         std::count_if(hops.begin(), hops.end(), [](const hop_record& h) {
-          return h.kind == hop_kind::flush || h.kind == hop_kind::handoff;
+          return h.kind == hop_kind::flush;
         }));
   }
   bool complete() const { return delivers() == 1; }

@@ -45,8 +45,6 @@ std::string_view latency_kind_name(latency_kind k) {
       return "e2e";
     case latency_kind::flush:
       return "flush";
-    case latency_kind::handoff:
-      return "handoff";
     case latency_kind::count_:
       break;
   }

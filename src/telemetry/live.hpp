@@ -125,9 +125,8 @@ struct gauge_slot {
 // -------------------------------------------------------- latency sketches
 
 enum class latency_kind : unsigned {
-  e2e,      ///< origin send() to final deliver (journey end-to-end)
-  flush,    ///< coalescing-buffer residency (enqueue to wire flush)
-  handoff,  ///< shared-memory inbox residency (push to drain)
+  e2e,    ///< origin send() to final deliver (journey end-to-end)
+  flush,  ///< coalescing-buffer residency (enqueue to wire flush)
   count_  // sentinel
 };
 

@@ -122,13 +122,6 @@ class endpoint final : public transport::endpoint {
   int world_rank() const noexcept override { return rank_; }
   int world_size() const noexcept override { return nranks_; }
 
-  /// Node-local ranks exchange bytes over shared mappings: the hybrid
-  /// mailbox's per-record direct handoff applies, the raw-pointer inbox
-  /// handoff does not.
-  locality_level locality() const noexcept override {
-    return locality_level::node_local_map;
-  }
-
   transport::channel& peer(int dest) override;
 
   envelope recv_match(int src, int tag, std::uint64_t ctx) override;

@@ -4,7 +4,6 @@
 // is never linked — building it IS the test: the live-telemetry layer and
 // the mailbox hot paths that feed it must compile away cleanly when the
 // telemetry subsystem is off.
-#include "core/hybrid_mailbox.hpp"
 #include "core/mailbox.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/sampler.hpp"
@@ -13,7 +12,7 @@
 
 static_assert(true, "");  // silence no-op-TU lints
 
-// The instrumented templates must instantiate fully with tls() pinned to
+// The instrumented template must instantiate fully with tls() pinned to
 // nullptr — this is what catches a hook call that only compiles when the
 // telemetry subsystem is on.
 struct off_probe_msg {
@@ -24,7 +23,6 @@ struct off_probe_msg {
   }
 };
 template class ygm::core::mailbox<off_probe_msg>;
-template class ygm::core::hybrid_mailbox<off_probe_msg>;
 
 // Exercise the inline feed helpers in a reachable (but never called)
 // function so they cannot rot behind the macro.

@@ -4,11 +4,10 @@
 // delivery invariants or termination detection.
 //
 // The acceptance grid is a hot producer flooding a slow consumer across
-// {mailbox, hybrid} x {inproc, socket, shm} x {engine, polling}, asserting the
-// peak bounded quantity (unacked in-flight bytes on packet links, inbox
-// depth on the hybrid's zero-copy local links) never exceeded the budget
-// and that every message still arrived exactly once. A 16-seed chaos sweep
-// reruns the full delivery-invariant ledger with credit active, and
+// {inproc, socket, shm} x {engine, polling}, asserting the peak bounded
+// quantity (unacked in-flight bytes per destination) never exceeded the
+// budget and that every message still arrived exactly once. A seeded chaos
+// sweep reruns the full delivery-invariant ledger with credit active, and
 // dedicated tests cover the budget knobs, the socket transport's bounded
 // outbound queue, and the stall watchdog's re-arm behavior.
 #include <gtest/gtest.h>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/ygm.hpp"
 #include "ser/serialize.hpp"
@@ -43,7 +41,6 @@ namespace causal = ygm::telemetry::causal;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::core::run_chaos_trial;
 using ygm::core::trial_config;
@@ -53,27 +50,30 @@ using ygm::routing::topology;
 // ------------------------------------------------------------ flood grid
 
 struct flood_cell {
-  bool hybrid = false;
   ygm::transport::backend_kind backend = ygm::transport::backend_kind::inproc;
   bool engine = false;
+  /// Seeds the credit chaos sweep runs in this cell: 16 on the in-process
+  /// backend; socket and shm trials fork a process per rank, so a smaller
+  /// block keeps wall time proportionate (same policy as the progress
+  /// sweep).
+  std::uint32_t chaos_seeds = 16;
 };
 
 std::string flood_cell_name(const ::testing::TestParamInfo<flood_cell>& info) {
   const auto& p = info.param;
-  return std::string(p.hybrid ? "hybrid" : "mailbox") + "_" +
-         std::string(ygm::transport::to_string(p.backend)) + "_" +
-         (p.engine ? "engine" : "polling");
+  return "mailbox_" + std::string(ygm::transport::to_string(p.backend)) +
+         "_" + (p.engine ? "engine" : "polling");
 }
 
 std::vector<flood_cell> flood_cells() {
   std::vector<flood_cell> cells;
-  for (bool hybrid : {false, true}) {
-    for (auto backend : {ygm::transport::backend_kind::inproc,
-                         ygm::transport::backend_kind::socket,
-                         ygm::transport::backend_kind::shm}) {
-      for (bool engine : {false, true}) {
-        cells.push_back({hybrid, backend, engine});
-      }
+  for (auto backend : {ygm::transport::backend_kind::inproc,
+                       ygm::transport::backend_kind::socket,
+                       ygm::transport::backend_kind::shm}) {
+    for (bool engine : {false, true}) {
+      cells.push_back(
+          {backend, engine,
+           backend == ygm::transport::backend_kind::inproc ? 16u : 4u});
     }
   }
   return cells;
@@ -107,7 +107,6 @@ struct flood_msg {
 /// bytes than the budget. The producer must stall instead of queueing
 /// unboundedly; the consumer services its mailbox rarely, so the flood
 /// genuinely outruns the drain.
-template <template <class> class MailboxT>
 flood_result run_flood(sim::comm& c, std::size_t capacity) {
   constexpr int kMsgs = 1500;
   constexpr std::size_t kFiller = 200;
@@ -115,7 +114,7 @@ flood_result run_flood(sim::comm& c, std::size_t capacity) {
   comm_world world(c, topology(1, 2), scheme_kind::no_route);
   flood_result r;
   std::vector<bool> seen(kMsgs, false);
-  MailboxT<flood_msg> mb(
+  mailbox<flood_msg> mb(
       world,
       [&](const flood_msg& m) {
         ++r.delivered;
@@ -162,9 +161,7 @@ TEST_P(FloodGrid, PeakBoundedByBudgetAndExactlyOnce) {
                                 : ygm::progress::mode::polling;
   o.credit_bytes = kBudget;
   const auto blobs = ygm::launch_collect(o, [&](sim::comm& c) {
-    const flood_result local = cell.hybrid
-                                   ? run_flood<hybrid_mailbox>(c, kCapacity)
-                                   : run_flood<mailbox>(c, kCapacity);
+    const flood_result local = run_flood(c, kCapacity);
     std::vector<std::byte> out;
     ygm::ser::append_bytes(local, out);
     return out;
@@ -227,12 +224,7 @@ class CreditChaosSweep : public ::testing::TestWithParam<flood_cell> {};
 
 TEST_P(CreditChaosSweep, LedgerHoldsUnderBackpressure) {
   const auto cell = GetParam();
-  // 16 seeds on the in-process backend; socket and shm trials fork a
-  // process per rank, so a smaller block keeps wall time proportionate
-  // (same policy as the progress sweep).
-  const std::uint64_t seeds =
-      cell.backend == ygm::transport::backend_kind::inproc ? 16 : 4;
-  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+  for (std::uint64_t seed = 0; seed < cell.chaos_seeds; ++seed) {
     const trial_config t = make_credit_trial(seed, cell.engine);
     ygm::run_options o;
     o.nranks = t.num_ranks();
@@ -242,8 +234,7 @@ TEST_P(CreditChaosSweep, LedgerHoldsUnderBackpressure) {
                                   : ygm::progress::mode::polling;
     std::vector<std::string> all;
     const auto blobs = ygm::launch_collect(o, [&](sim::comm& c) {
-      const auto local = cell.hybrid ? run_chaos_trial<hybrid_mailbox>(c, t)
-                                     : run_chaos_trial<mailbox>(c, t);
+      const auto local = run_chaos_trial(c, t);
       std::vector<std::byte> out;
       ygm::ser::append_bytes(local, out);
       return out;

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/ygm.hpp"
 #include "telemetry/telemetry.hpp"
@@ -23,7 +22,6 @@ namespace sim = ygm::mpisim;
 using sim::chaos_config;
 using ygm::core::comm_world;
 using ygm::core::delivery_ledger;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::core::probe_msg;
 using ygm::core::run_chaos_trial;
@@ -34,28 +32,29 @@ using ygm::routing::topology;
 // ----------------------------------------------------------- chaos sweep
 //
 // The tentpole test: random traffic + broadcasts under seeded adversity,
-// all delivery invariants checked at quiescence. Each (scheme, mailbox)
-// cell sweeps its own block of seeds while the remaining dimensions —
-// machine shape, capacity (down to 1 byte: flush on every send), timed
-// virtual-time mode, light/heavy chaos, serialized self-sends — rotate
-// with the seed, so the 64-trial default shard touches the whole matrix.
-// tools/stress_ygm runs the same harness at arbitrary scale.
+// all delivery invariants checked at quiescence. Each scheme cell sweeps
+// its own block of seeds while the remaining dimensions — machine shape,
+// capacity (down to 1 byte: flush on every send), timed virtual-time mode,
+// light/heavy chaos, serialized self-sends — rotate with the seed, so the
+// 64-trial default shard touches the whole matrix. tools/stress_ygm runs
+// the same harness at arbitrary scale.
+
+constexpr std::uint32_t kSeedsPerCell = 16;
 
 struct sweep_cell {
   scheme_kind kind;
-  bool hybrid;
+  std::uint32_t first_seed;  ///< disjoint blocks: the suite covers 0..63
 };
 
 std::string cell_name(const ::testing::TestParamInfo<sweep_cell>& info) {
-  return std::string(ygm::routing::to_string(info.param.kind)) +
-         (info.param.hybrid ? "_hybrid" : "_mailbox");
+  return std::string(ygm::routing::to_string(info.param.kind)) + "_mailbox";
 }
 
 std::vector<sweep_cell> sweep_cells() {
   std::vector<sweep_cell> cells;
   for (auto kind : ygm::routing::all_schemes) {
-    cells.push_back({kind, false});
-    cells.push_back({kind, true});
+    cells.push_back(
+        {kind, kSeedsPerCell * static_cast<std::uint32_t>(cells.size())});
   }
   return cells;
 }
@@ -82,11 +81,10 @@ trial_config make_trial(const sweep_cell& cell, std::uint64_t seed) {
 }
 
 /// Run one trial end to end; returns all ranks' violations (rank 0's view).
-template <template <class> class MailboxT>
 std::vector<std::string> sweep_one(const trial_config& t) {
   std::vector<std::string> all;
   sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
-    const auto local = run_chaos_trial<MailboxT>(c, t);
+    const auto local = run_chaos_trial(c, t);
     const auto gathered = c.gather(local, 0);
     if (c.rank() == 0) {
       for (const auto& per_rank : gathered) {
@@ -101,21 +99,12 @@ class ChaosSweep : public ::testing::TestWithParam<sweep_cell> {};
 
 TEST_P(ChaosSweep, InvariantsHoldUnderSeededAdversity) {
   const auto& cell = GetParam();
-  // Disjoint seed blocks per cell: the suite as a whole covers seeds 0..63.
-  std::uint64_t base = 0;
-  for (std::size_t i = 0; i < sweep_cells().size(); ++i) {
-    if (sweep_cells()[i].kind == cell.kind &&
-        sweep_cells()[i].hybrid == cell.hybrid) {
-      base = 8 * i;
-    }
-  }
-  for (std::uint64_t s = base; s < base + 8; ++s) {
+  for (std::uint64_t s = cell.first_seed; s < cell.first_seed + kSeedsPerCell;
+       ++s) {
     const auto t = make_trial(cell, s);
-    const auto violations =
-        cell.hybrid ? sweep_one<hybrid_mailbox>(t) : sweep_one<mailbox>(t);
+    const auto violations = sweep_one(t);
     EXPECT_TRUE(violations.empty())
-        << "REPRO: stress_ygm recipe -> mailbox="
-        << (cell.hybrid ? "hybrid" : "mailbox") << " " << t.describe() << "\n"
+        << "REPRO: stress_ygm recipe -> " << t.describe() << "\n"
         << [&] {
              std::string joined;
              for (const auto& v : violations) joined += "  " + v + "\n";
@@ -181,7 +170,9 @@ TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
   cfg.max_delay_ticks = 64;
   sim::run(2, cfg, [&](sim::comm& c) {
     if (c.rank() == 1) c.send(std::string("late"), 0, 2);
-    if (c.rank() == 0) EXPECT_EQ(c.recv<std::string>(1, 2), "late");
+    if (c.rank() == 0) {
+      EXPECT_EQ(c.recv<std::string>(1, 2), "late");
+    }
     c.barrier();
   });
 }
@@ -299,7 +290,7 @@ TEST(ChaosTelemetry, CountersAgreeWithLedgerAccounting) {
   ygm::telemetry::set_global(&sess);
   std::vector<std::string> violations;
   sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
-    const auto local = run_chaos_trial<mailbox>(c, t);
+    const auto local = run_chaos_trial(c, t);
     if (c.rank() == 0) violations = local;
   });
   ygm::telemetry::set_global(nullptr);
@@ -349,19 +340,6 @@ TEST(ChaosSelfSend, SerializedLoopbackSurfacesAsymmetricSerialize) {
     mb.send(0, {1, 2});  // ser:: round trip exposes the field swap
     EXPECT_EQ(got.a, 2u);
     EXPECT_EQ(got.b, 1u);
-    mb.wait_empty();
-  });
-}
-
-TEST(ChaosSelfSend, HybridSerializedLoopbackMatches) {
-  sim::run(1, [](sim::comm& c) {
-    comm_world world(c, 1, scheme_kind::no_route);
-    asym_msg got;
-    hybrid_mailbox<asym_msg> mb(world, [&](const asym_msg& m) { got = m; });
-    world.set_serialize_self_sends(true);
-    mb.send(0, {3, 4});
-    EXPECT_EQ(got.a, 4u);
-    EXPECT_EQ(got.b, 3u);
     mb.wait_empty();
   });
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/buffer_pool.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/packet.hpp"
 #include "core/ygm.hpp"
@@ -71,7 +70,6 @@ namespace {
 namespace sim = ygm::mpisim;
 using ygm::core::buffer_pool;
 using ygm::core::comm_world;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::core::packet_append;
 using ygm::core::packet_append_inplace;
@@ -296,12 +294,11 @@ TEST(SteadyState, WarmHotPathIsAllocationFreePerMessage) {
 
 // -------------------------------------- pooling vs in-flight spans (chaos)
 
-/// 16 seeds x {mailbox, hybrid}: the delivery ledger checks every payload
+/// 16 seeds: the delivery ledger checks every payload
 /// byte-for-byte at quiescence, so a pooled buffer recycled while a span
 /// into it was still in flight (the forward path holds spans into received
 /// packets; bcast fan-out holds spans into sibling buffers) shows up as
 /// corruption, duplication, or loss.
-template <template <class> class MailboxT>
 std::vector<std::string> pooled_trial(std::uint64_t seed) {
   trial_config t;
   t.seed = seed;
@@ -317,7 +314,7 @@ std::vector<std::string> pooled_trial(std::uint64_t seed) {
 
   std::vector<std::string> all;
   sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
-    const auto local = run_chaos_trial<MailboxT>(c, t);
+    const auto local = run_chaos_trial(c, t);
     const auto gathered = c.gather(local, 0);
     if (c.rank() == 0) {
       for (const auto& per_rank : gathered) {
@@ -330,10 +327,8 @@ std::vector<std::string> pooled_trial(std::uint64_t seed) {
 
 TEST(PoolingChaos, RecycledBuffersNeverAliasInFlightSpans) {
   for (std::uint64_t seed = 100; seed < 116; ++seed) {
-    const auto v_mb = pooled_trial<mailbox>(seed);
-    EXPECT_TRUE(v_mb.empty()) << "mailbox seed " << seed << ": " << v_mb[0];
-    const auto v_hy = pooled_trial<hybrid_mailbox>(seed);
-    EXPECT_TRUE(v_hy.empty()) << "hybrid seed " << seed << ": " << v_hy[0];
+    const auto v = pooled_trial(seed);
+    EXPECT_TRUE(v.empty()) << "seed " << seed << ": " << v[0];
   }
 }
 

@@ -15,7 +15,6 @@
 #include "apps/degree_count.hpp"
 #include "apps/spmv.hpp"
 #include "containers/counting_set.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/ygm.hpp"
 #include "graph/degree_model.hpp"
 #include "graph/generators.hpp"
@@ -153,8 +152,9 @@ TEST(Pipeline, ThreeWaySpmvAgreement) {
   });
 }
 
-// BFS over both mailbox flavors must agree level by level.
-TEST(Pipeline, PlainAndHybridMailboxProduceIdenticalBfs) {
+// Mailbox-driven BFS on an RMAT graph must match the sequential oracle
+// level by level.
+TEST(Pipeline, MailboxBfsMatchesOracleLevels) {
   const topology topo(2, 4);
   const int scale = 7;
   const vertex_id n = vertex_id{1} << scale;
@@ -179,38 +179,11 @@ TEST(Pipeline, PlainAndHybridMailboxProduceIdenticalBfs) {
     }
     const ygm::apps::local_adjacency adj(world, mine, n, false);
     const auto& part = adj.partition();
+    const auto bfs = ygm::apps::bfs(world, adj, root, 256);
 
-    // Plain-mailbox BFS (the apps:: implementation).
-    const auto plain = ygm::apps::bfs(world, adj, root, 256);
-
-    // Hybrid-mailbox BFS, hand-rolled with the same relaxation logic.
-    std::vector<std::uint64_t> levels(adj.local_vertex_count(),
-                                      ygm::apps::bfs_unreached);
-    struct level_msg {
-      vertex_id v;
-      std::uint64_t level;
-    };
-    ygm::core::hybrid_mailbox<level_msg>* mbp = nullptr;
-    ygm::core::hybrid_mailbox<level_msg> mb(
-        world,
-        [&](const level_msg& m) {
-          const auto j = part.local_index(m.v);
-          if (m.level < levels[j]) {
-            levels[j] = m.level;
-            for (const auto& nb : adj.neighbors(j)) {
-              mbp->send(part.owner(nb.id), level_msg{nb.id, m.level + 1});
-            }
-          }
-        },
-        256);
-    mbp = &mb;
-    if (part.owner(root) == c.rank()) mb.send(c.rank(), level_msg{root, 0});
-    mb.wait_empty();
-
-    for (std::uint64_t j = 0; j < levels.size(); ++j) {
+    for (std::uint64_t j = 0; j < bfs.local_levels.size(); ++j) {
       const vertex_id id = part.global_id(c.rank(), j);
-      ASSERT_EQ(plain.local_levels[j], oracle[id]);
-      ASSERT_EQ(levels[j], oracle[id]);
+      ASSERT_EQ(bfs.local_levels[j], oracle[id]);
     }
   });
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
-#include "core/hybrid_mailbox.hpp"
 #include "core/invariants.hpp"
 #include "core/launch.hpp"
 #include "core/ygm.hpp"
@@ -35,7 +34,6 @@ namespace causal = ygm::telemetry::causal;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
-using ygm::core::hybrid_mailbox;
 using ygm::core::mailbox;
 using ygm::core::run_chaos_trial;
 using ygm::core::trial_config;
@@ -375,9 +373,7 @@ TEST(LiveChaos, InvariantsHoldWithSamplerAndSketchesOn) {
     opts.sample_ms = 2;  // aggressive: many ticks per trial
     std::vector<std::string> violations;
     const auto blobs = ygm::launch_collect(opts, [&](sim::comm& c) {
-      const auto local = (t.seed % 2) == 0
-                             ? run_chaos_trial<mailbox>(c, t)
-                             : run_chaos_trial<hybrid_mailbox>(c, t);
+      const auto local = run_chaos_trial(c, t);
       std::vector<std::byte> out;
       ygm::ser::append_bytes(local, out);
       return out;

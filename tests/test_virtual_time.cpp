@@ -141,65 +141,33 @@ TEST(VirtualTime, AgreesWithEvaluatorWithinSmallFactor) {
 }
 
 }  // namespace
-// (appended) hybrid mailbox and containers under virtual time
+// (appended) local-only traffic and containers under virtual time
 
 #include "containers/counting_set.hpp"
-#include "core/hybrid_mailbox.hpp"
 
 namespace {
 
-TEST(VirtualTime, HybridMailboxChargesLocalAndRemote) {
-  const topology topo(2, 2);
+TEST(VirtualTime, LocalOnlyTrafficStaysInLocalLinkRegime) {
+  // Single node, local-only traffic: the mailbox pays per-packet
+  // serialization hops but coalesces — time must advance, and stay in the
+  // local-link cost regime (far below any wire transfer of the same
+  // volume).
+  const topology topo(1, 4);
+  const auto np = ygm::net::network_params::quartz_like();
   sim::run(topo.num_ranks(), [&](sim::comm& c) {
-    comm_world world(c, topo, scheme_kind::node_remote);
-    world.attach_virtual_network(ygm::net::network_params::quartz_like());
-    ygm::core::hybrid_mailbox<std::uint64_t> mb(
-        world, [](const std::uint64_t&) {}, 256);
-    for (int d = 0; d < c.size(); ++d) {
-      if (d != c.rank()) mb.send(d, 7);
+    comm_world world(c, topo, scheme_kind::node_local);
+    world.attach_virtual_network(np);
+    mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, 128);
+    for (int i = 0; i < 100; ++i) {
+      mb.send((c.rank() + 1) % c.size(), std::uint64_t{1});
     }
     mb.wait_empty();
     const double t = world.virtual_elapsed();
     EXPECT_GT(t, 0.0);
-    // At least one remote transfer happened on the critical path.
-    EXPECT_GE(t, ygm::net::network_params::quartz_like()
-                     .remote.transfer_time(16));
+    const double wire_equiv =
+        np.remote.transfer_time(100.0 * 10) * topo.num_ranks();
+    EXPECT_LT(t, wire_equiv * 10);
   });
-}
-
-TEST(VirtualTime, HybridZeroCopyLocalPathIsCheaperThanPlain) {
-  // Single node, local-only traffic: the hybrid charges one shared-memory
-  // transfer per record; the plain mailbox additionally pays per-packet
-  // serialization hops but coalesces — both must advance time, and both
-  // must stay in the local-link cost regime (far below any wire transfer
-  // of the same volume).
-  const topology topo(1, 4);
-  const auto np = ygm::net::network_params::quartz_like();
-  for (const bool hybrid : {false, true}) {
-    sim::run(topo.num_ranks(), [&](sim::comm& c) {
-      comm_world world(c, topo, scheme_kind::node_local);
-      world.attach_virtual_network(np);
-      const auto drive = [&](auto& mb) {
-        for (int i = 0; i < 100; ++i) {
-          mb.send((c.rank() + 1) % c.size(), std::uint64_t{1});
-        }
-        mb.wait_empty();
-      };
-      if (hybrid) {
-        ygm::core::hybrid_mailbox<std::uint64_t> mb(
-            world, [](const std::uint64_t&) {}, 128);
-        drive(mb);
-      } else {
-        mailbox<std::uint64_t> mb(world, [](const std::uint64_t&) {}, 128);
-        drive(mb);
-      }
-      const double t = world.virtual_elapsed();
-      EXPECT_GT(t, 0.0);
-      const double wire_equiv =
-          np.remote.transfer_time(100.0 * 10) * topo.num_ranks();
-      EXPECT_LT(t, wire_equiv * 10);
-    });
-  }
 }
 
 TEST(VirtualTime, ContainersAccrueVirtualTime) {
