@@ -43,7 +43,6 @@
 #include "core/launch.hpp"
 #include "core/mailbox.hpp"
 #include "core/progress.hpp"
-#include "mpisim/runtime.hpp"
 #include "routing/router.hpp"
 
 namespace {
@@ -89,6 +88,9 @@ double run_workload_once(progress::mode pmode, workload w, const knobs& kn) {
   double wall = 0;
   run_options o;
   o.nranks = 8;
+  // Rank 0 reports `wall` from its body, so the ranks must share this
+  // address space.
+  o.backend = transport::backend_kind::inproc;
   o.progress_mode = pmode;
   launch(o, [&](mpisim::comm& c) {
     const routing::topology topo(4, 2);

@@ -68,7 +68,7 @@ class buffer_pool {
   static constexpr std::uint32_t window_releases = 64;
 
   /// This thread's pool (one per mpisim rank thread; storage dies with the
-  /// thread, so consecutive mpisim::run calls never share stale capacity).
+  /// thread, so consecutive ygm::launch calls never share stale capacity).
   static buffer_pool& local() {
     static thread_local buffer_pool pool;
     return pool;

@@ -83,7 +83,7 @@ comm_world::~comm_world() {
 int comm_world::reserve_tag_block(int count) {
   YGM_CHECK(count > 0, "tag block must be non-empty");
   const int base = next_tag_;
-  YGM_CHECK(base + count <= mpisim::tag_ub,
+  YGM_CHECK(base + count <= transport::tag_ub,
             "tag space exhausted: too many mailboxes on one comm_world");
   next_tag_ += count;
   return base;

@@ -300,7 +300,7 @@ struct trial_config {
 };
 
 /// Run one rank's share of a chaos trial on an already-running communicator
-/// (call from inside mpisim::run, every rank). Returns this rank's invariant
+/// (call from inside ygm::launch, every rank). Returns this rank's invariant
 /// violations.
 ///
 /// Per epoch: random p2p traffic + broadcasts with interleaved polls, then

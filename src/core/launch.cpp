@@ -1,19 +1,29 @@
 #include "core/launch.hpp"
 
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <numeric>
+#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/live.hpp"
+#include "telemetry/telemetry.hpp"
+#include "transport/inproc/fabric.hpp"
+#include "transport/shm/launch.hpp"
+#include "transport/socket/launch.hpp"
 
 namespace ygm {
 
 namespace {
 
+using rank_fn = std::function<std::vector<std::byte>(mpisim::comm&)>;
+
 // Launch-scoped process globals. Set on the driver thread before rank
-// threads spawn (inproc) or children fork (socket) and restored after the
-// run — both backends therefore see a stable value for the whole run
+// threads spawn (inproc) or children fork (socket, shm) and restored after
+// the run — every backend therefore sees a stable value for the whole run
 // without synchronization.
 std::optional<net::network_params> g_launch_vnet;
 std::optional<std::size_t> g_launch_credit_bytes;
@@ -50,47 +60,146 @@ struct scoped_run_defaults {
   int prev_statusz_;
 };
 
-mpisim::run_options to_mpisim_options(const run_options& opts) {
-  mpisim::run_options mo;
-  mo.nranks = opts.nranks;
-  mo.backend = opts.backend;
-  mo.chaos = opts.chaos;
-  mo.socket_dir = opts.socket_dir;
-
-  const progress::mode pmode =
-      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
-  if (pmode == progress::mode::engine) {
-    // Resolve the backend now: socket children ship exactly one telemetry
-    // lane per rank back to the parent, so an engine lane added in a child
-    // would be lost — those engines run without a lane and fold their
-    // summary counters into the child rank's lane at teardown instead.
-    const transport::backend_kind backend =
-        opts.backend ? *opts.backend : transport::backend_from_env();
-    const bool lane_ships = backend == transport::backend_kind::inproc;
-    const progress::engine::options eopts = opts.engine;
-    mo.process_services = [eopts, lane_ships](
-                              int /*nranks*/,
-                              int telemetry_world) -> std::shared_ptr<void> {
-      return std::make_shared<progress::engine_scope>(
-          eopts, lane_ships ? telemetry_world : -1);
-    };
+/// The machinery every OS process hosting rank bodies runs beside them: the
+/// progress engine (engine mode only), then the live telemetry services.
+/// The engine comes up first so the sampler can detect it as its driver and
+/// skip its own thread; members tear down in reverse, so the sampler stops
+/// before its engine driver does.
+class process_runtime {
+ public:
+  process_runtime(const std::optional<progress::engine::options>& engine,
+                  int telemetry_world) {
+    if (engine) engine_.emplace(*engine, telemetry_world);
+    live_ = telemetry::live::start_services();
   }
-  return mo;
+
+ private:
+  std::optional<progress::engine_scope> engine_;
+  std::shared_ptr<void> live_;
+};
+
+std::shared_ptr<const std::vector<int>> world_members(int nranks) {
+  std::vector<int> m(static_cast<std::size_t>(nranks));
+  std::iota(m.begin(), m.end(), 0);
+  return std::make_shared<const std::vector<int>>(std::move(m));
+}
+
+std::vector<std::vector<std::byte>> run_inproc(
+    int nranks, const std::optional<transport::chaos_config>& chaos,
+    const std::optional<progress::engine::options>& engine,
+    const rank_fn& fn) {
+  transport::inproc::fabric fab(nranks);
+  if (chaos && chaos->enabled()) fab.set_chaos(*chaos);
+
+  // With a telemetry session installed, every rank thread records onto its
+  // own (world, rank) lane; the top-level "rank.main" span covers the whole
+  // rank function, so per-rank span coverage of wall time is complete by
+  // construction. The engine records onto a lane of the same world.
+  telemetry::session* const tsess = telemetry::global();
+  const int tworld = tsess != nullptr ? tsess->begin_world(nranks) : -1;
+
+  // Scoped so the engine and sampler stop before rethrowing and before the
+  // fabric the rank endpoints lived on goes away.
+  std::exception_ptr first_error;
+  std::vector<std::vector<std::byte>> results(
+      static_cast<std::size_t>(nranks));
+  {
+    const process_runtime runtime(engine, tworld);
+    const auto members = world_members(nranks);
+    std::mutex err_mtx;
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) {
+      threads.emplace_back([&, r] {
+        std::optional<telemetry::rank_scope> tscope;
+        if (tsess != nullptr) tscope.emplace(*tsess, tworld, r);
+        telemetry::span rank_span("rank.main");
+        // The endpoint lives inside the span and the rank scope: its
+        // destructor publishes transport counters onto this rank's lane.
+        transport::inproc::endpoint ep(fab, r);
+        mpisim::comm c(ep, members, r, transport::world_context,
+                       transport::world_context + 1);
+        try {
+          results[static_cast<std::size_t>(r)] = fn(c);
+        } catch (...) {
+          {
+            std::lock_guard lock(err_mtx);
+            if (!first_error) first_error = std::current_exception();
+          }
+          ep.abort_world();
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+
+  if (first_error) std::rethrow_exception(first_error);
+  return results;
+}
+
+/// Shared body for the process-per-rank backends (socket, shm): the
+/// backend's launch() owns forking, rendezvous, telemetry lane shipping,
+/// and error propagation; the body here builds the world communicator on
+/// the endpoint it is handed. The body runs in the forked child, so the
+/// engine starts there — a thread would not survive the fork. Children
+/// ship exactly one telemetry lane per rank back to the parent, so a child
+/// engine runs without a lane of its own and folds its summary counters
+/// into the rank's lane at teardown instead.
+template <typename LaunchFn>
+std::vector<std::vector<std::byte>> run_forked(
+    LaunchFn&& launch, int nranks, const std::string& socket_dir,
+    const std::optional<transport::chaos_config>& chaos,
+    const std::optional<progress::engine::options>& engine,
+    const rank_fn& fn) {
+  return launch(nranks, chaos, socket_dir,
+                [&](transport::endpoint& ep) {
+                  const process_runtime runtime(engine, -1);
+                  const auto members = world_members(ep.world_size());
+                  mpisim::comm c(ep, members, ep.world_rank(),
+                                 transport::world_context,
+                                 transport::world_context + 1);
+                  return fn(c);
+                });
 }
 
 }  // namespace
 
-void launch(const run_options& opts,
-            const std::function<void(mpisim::comm&)>& fn) {
-  scoped_run_defaults defaults(opts);
-  mpisim::run(to_mpisim_options(opts), fn);
+std::vector<std::vector<std::byte>> launch_collect(const run_options& opts,
+                                                   const rank_fn& fn) {
+  YGM_CHECK(opts.nranks > 0, "launch() requires a positive rank count");
+  const scoped_run_defaults defaults(opts);
+
+  // Environment-driven chaos lets the whole suite be rerun under fault
+  // injection without touching a single call site; an explicit config wins
+  // over the environment.
+  const std::optional<transport::chaos_config> chaos =
+      opts.chaos ? opts.chaos : transport::chaos_config::from_env();
+  const transport::backend_kind backend =
+      opts.backend ? *opts.backend : transport::backend_from_env();
+  const progress::mode pmode =
+      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
+  std::optional<progress::engine::options> engine;
+  if (pmode == progress::mode::engine) engine = opts.engine;
+
+  switch (backend) {
+    case transport::backend_kind::socket:
+      return run_forked(transport::socket::launch, opts.nranks,
+                        opts.socket_dir, chaos, engine, fn);
+    case transport::backend_kind::shm:
+      return run_forked(transport::shm::launch, opts.nranks, opts.socket_dir,
+                        chaos, engine, fn);
+    case transport::backend_kind::inproc:
+      break;
+  }
+  return run_inproc(opts.nranks, chaos, engine, fn);
 }
 
-std::vector<std::vector<std::byte>> launch_collect(
-    const run_options& opts,
-    const std::function<std::vector<std::byte>(mpisim::comm&)>& fn) {
-  scoped_run_defaults defaults(opts);
-  return mpisim::run_collect(to_mpisim_options(opts), fn);
+void launch(const run_options& opts,
+            const std::function<void(mpisim::comm&)>& fn) {
+  (void)launch_collect(opts, [&fn](mpisim::comm& c) {
+    fn(c);
+    return std::vector<std::byte>{};
+  });
 }
 
 namespace detail {

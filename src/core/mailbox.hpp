@@ -561,7 +561,7 @@ class mailbox {
   void drain_credit_acks() {
     if (!credit_on()) return;
     auto& mpi = world_->mpi();
-    while (auto st = mpi.iprobe(mpisim::any_source, credit_tag())) {
+    while (auto st = mpi.iprobe(transport::any_source, credit_tag())) {
       auto ack = mpi.recv_bytes(st->source, credit_tag());
       std::uint64_t amount = 0;
       YGM_CHECK(ack.size() == sizeof(amount), "malformed credit ack");
@@ -663,7 +663,7 @@ class mailbox {
   void drain_incoming() {
     drain_credit_acks();
     auto& mpi = world_->mpi();
-    while (auto st = mpi.iprobe(mpisim::any_source, data_tag_)) {
+    while (auto st = mpi.iprobe(transport::any_source, data_tag_)) {
       auto packet = mpi.recv_bytes(st->source, data_tag_);
       handle_packet(packet, st->source);
       // handle_packet copies every span it keeps (enqueue appends payload
@@ -761,7 +761,7 @@ class mailbox {
     auto& mpi = world_->mpi();
     std::vector<std::byte> batch;
     bool did = false;
-    while (auto st = mpi.iprobe(mpisim::any_source, data_tag_)) {
+    while (auto st = mpi.iprobe(transport::any_source, data_tag_)) {
       auto packet = mpi.recv_bytes(st->source, data_tag_);
       handle_packet(packet, st->source, inline_deliveries ? nullptr : &batch);
       buffer_pool::local().release(std::move(packet));

@@ -152,7 +152,7 @@ bool station::service() {
 
 engine::engine(options opts, int telemetry_world)
     : opts_(opts), telemetry_world_(telemetry_world) {
-  // Advertise as the live-telemetry driver before make_process_services can
+  // Advertise as the live-telemetry driver before start_services can
   // run (launch creates the engine first), so the sampler rides this
   // thread's passes instead of starting its own.
   telemetry::live::set_engine_driver(true);

@@ -74,7 +74,7 @@ bool termination_detector::poll(std::uint64_t sent, std::uint64_t received) {
       }
       while (children_pending_ > 0) {
         // Children send on the round-specific tag; any child's message works.
-        const auto st = mpi.iprobe(mpisim::any_source, contrib_tag());
+        const auto st = mpi.iprobe(transport::any_source, contrib_tag());
         if (!st) return false;  // no progress possible without blocking
         const auto c = mpi.recv<contrib>(st->source, contrib_tag());
         YGM_CHECK(std::get<2>(c) == round_,

@@ -14,8 +14,7 @@
 //     mb.wait_empty();
 //   });
 //
-// ygm::launch (core/launch.hpp) supersedes the ygm::mpisim::run(...)
-// overloads; docs/PROGRESS.md §Migration has the mapping.
+// ygm::launch (core/launch.hpp) is the only way to start ranks.
 #pragma once
 
 #include "core/comm_world.hpp"
@@ -25,7 +24,6 @@
 #include "core/progress.hpp"
 #include "core/stats.hpp"
 #include "core/termination.hpp"
-#include "mpisim/runtime.hpp"
 #include "net/evaluator.hpp"
 #include "net/params.hpp"
 #include "routing/router.hpp"

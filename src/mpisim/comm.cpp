@@ -23,17 +23,18 @@ comm::comm(transport::endpoint& ep,
 double comm::wtime() const { return ep_->wtime(); }
 
 void comm::send_bytes(int dest, int tag, std::vector<std::byte> payload) const {
-  YGM_CHECK(tag >= 0 && tag <= tag_ub, "user tag out of range");
+  YGM_CHECK(tag >= 0 && tag <= transport::tag_ub, "user tag out of range");
   telemetry::add(telemetry::fast_counter::mpi_sends);
   telemetry::add(telemetry::fast_counter::mpi_send_bytes, payload.size());
   ep_->post(world_rank_of(dest),
             transport::envelope{rank_, tag, ctx_p2p_, std::move(payload)});
 }
 
-std::vector<std::byte> comm::recv_bytes(int src, int tag, status* st) const {
+std::vector<std::byte> comm::recv_bytes(int src, int tag,
+                                       transport::status* st) const {
   transport::envelope e = ep_->recv_match(src, tag, ctx_p2p_);
   if (st != nullptr) {
-    *st = status{e.src, e.tag, e.payload.size()};
+    *st = transport::status{e.src, e.tag, e.payload.size()};
   }
   telemetry::add(telemetry::fast_counter::mpi_recvs);
   telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
@@ -54,15 +55,13 @@ std::vector<std::byte> comm::coll_recv_bytes(int src, int tag) const {
   return std::move(e.payload);
 }
 
-std::optional<status> comm::iprobe(int src, int tag) const {
+std::optional<transport::status> comm::iprobe(int src, int tag) const {
   return ep_->iprobe(src, tag, ctx_p2p_);
 }
 
-status comm::probe(int src, int tag) const {
+transport::status comm::probe(int src, int tag) const {
   return ep_->probe(src, tag, ctx_p2p_);
 }
-
-std::size_t comm::pending_messages() const { return ep_->pending(); }
 
 void comm::barrier() const {
   telemetry::add(telemetry::fast_counter::mpi_collectives);
@@ -144,22 +143,6 @@ comm comm::split(int color, int key) const {
   return comm(*ep_,
               std::make_shared<const std::vector<int>>(std::move(members)),
               my_index, np2p, ncoll);
-}
-
-comm comm::dup() const {
-  constexpr int root = 0;
-  const std::uint64_t seq = coll_seq_++;
-  std::pair<std::uint64_t, std::uint64_t> ctxs;
-  if (rank_ == root) {
-    ctxs = {derive_context(seq, 0, 0), derive_context(seq, 0, 1)};
-    for (int dest = 0; dest < size(); ++dest) {
-      if (dest != root) coll_send(ctxs, dest, coll_tag(seq, 0));
-    }
-  } else {
-    ctxs = coll_recv<std::pair<std::uint64_t, std::uint64_t>>(
-        root, coll_tag(seq, 0));
-  }
-  return comm(*ep_, members_, rank_, ctxs.first, ctxs.second);
 }
 
 }  // namespace ygm::mpisim

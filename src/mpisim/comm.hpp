@@ -1,5 +1,5 @@
-// The communicator: point-to-point messaging, probing, nonblocking
-// operations, communicator splitting, and tree-based collectives.
+// The communicator: point-to-point messaging, probing, communicator
+// splitting, and tree-based collectives.
 //
 // One comm object per rank per logical communicator. Typed send/recv
 // serialize through ygm::ser, so any serializable type — including
@@ -21,17 +21,16 @@
 #include "common/assert.hpp"
 #include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
 #include "mpisim/ops.hpp"
-#include "mpisim/request.hpp"
-#include "mpisim/types.hpp"
 #include "ser/serialize.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/envelope.hpp"
+#include "transport/types.hpp"
 
 namespace ygm::mpisim {
 
 class comm {
  public:
-  /// Constructed by runtime::run (world communicator) or by split()/dup().
+  /// Constructed by ygm::launch (world communicator) or by split().
   comm(transport::endpoint& ep,
        std::shared_ptr<const std::vector<int>> members, int rank,
        std::uint64_t ctx_p2p, std::uint64_t ctx_coll);
@@ -49,7 +48,7 @@ class comm {
 
   /// Blocking matched receive of raw bytes.
   std::vector<std::byte> recv_bytes(int src, int tag,
-                                    status* st = nullptr) const;
+                                    transport::status* st = nullptr) const;
 
   /// Typed send: v is serialized via ygm::ser into a pooled payload buffer
   /// (the receiver's recv() releases it, so typed traffic recycles capacity
@@ -63,34 +62,18 @@ class comm {
 
   /// Typed blocking receive.
   template <class T>
-  T recv(int src, int tag, status* st = nullptr) const {
+  T recv(int src, int tag, transport::status* st = nullptr) const {
     auto buf = recv_bytes(src, tag, st);
     T v = ser::from_bytes<T>({buf.data(), buf.size()});
     core::buffer_pool::local().release(std::move(buf));
     return v;
   }
 
-  /// Nonblocking send. Completes immediately (sends are eager) but returns
-  /// a request for MPI-style call sites.
-  template <class T>
-  request isend(const T& v, int dest, int tag) const {
-    send(v, dest, tag);
-    return request{};
-  }
-
-  /// Nonblocking receive into out; out must outlive the request.
-  template <class T>
-  request irecv(T& out, int src, int tag) const;
-
   /// Nonblocking probe, like MPI_Iprobe.
-  std::optional<status> iprobe(int src, int tag) const;
+  std::optional<transport::status> iprobe(int src, int tag) const;
 
   /// Blocking probe, like MPI_Probe.
-  status probe(int src, int tag) const;
-
-  /// Number of queued unreceived messages for this rank (all contexts;
-  /// diagnostic aid, no MPI analogue).
-  std::size_t pending_messages() const;
+  transport::status probe(int src, int tag) const;
 
   // ---------------------------------------------------------- collectives
   //
@@ -131,20 +114,6 @@ class comm {
   template <class T>
   std::vector<T> allgather(const T& v) const;
 
-  /// Root scatters bufs[i] to rank i; returns this rank's piece.
-  template <class T>
-  T scatter(const std::vector<T>& bufs, int root) const;
-
-  /// Inclusive prefix reduction: rank r gets op(v_0, ..., v_r), like
-  /// MPI_Scan.
-  template <class T, class Op>
-  T scan(const T& v, Op op) const;
-
-  /// Exclusive prefix reduction: rank 0 gets `identity`, rank r gets
-  /// op(v_0, ..., v_{r-1}), like MPI_Exscan (with a defined rank-0 value).
-  template <class T, class Op>
-  T exscan(const T& v, Op op, T identity = T{}) const;
-
   /// Personalized all-to-all with per-destination vectors, like
   /// MPI_Alltoallv. This is the *synchronous* collective the paper contrasts
   /// YGM's asynchronous exchanges against.
@@ -158,9 +127,6 @@ class comm {
   /// (key, parent rank), like MPI_Comm_split. Colors must be >= 0.
   comm split(int color, int key) const;
 
-  /// A new communicator with the same group, like MPI_Comm_dup.
-  comm dup() const;
-
   /// The underlying transport endpoint (used by runtime glue and tests).
   transport::endpoint& get_endpoint() const noexcept { return *ep_; }
 
@@ -168,7 +134,7 @@ class comm {
   // Tag for round `round` of the `coll_seq_`-th collective on this comm.
   int coll_tag(std::uint64_t seq, int round) const {
     return static_cast<int>(((seq << 6) | static_cast<unsigned>(round)) &
-                            static_cast<unsigned>(tag_ub));
+                            static_cast<unsigned>(transport::tag_ub));
   }
 
   // Context id for a communicator derived from this one: a splitmix64 chain
@@ -216,23 +182,6 @@ class comm {
 // ------------------------------------------------------------------------
 // Template member definitions.
 // ------------------------------------------------------------------------
-
-template <class T>
-request comm::irecv(T& out, int src, int tag) const {
-  transport::endpoint* ep = ep_;
-  const std::uint64_t ctx = ctx_p2p_;
-  return request{[ep, &out, src, tag, ctx](bool block) {
-    if (block) {
-      transport::envelope e = ep->recv_match(src, tag, ctx);
-      out = ser::from_bytes<T>(e.payload);
-      return true;
-    }
-    auto e = ep->try_recv_match(src, tag, ctx);
-    if (!e) return false;
-    out = ser::from_bytes<T>(e->payload);
-    return true;
-  }};
-}
 
 template <class T>
 void comm::bcast(T& v, int root) const {
@@ -332,50 +281,6 @@ std::vector<T> comm::allgather(const T& v) const {
   auto out = gather(v, 0);
   bcast(out, 0);
   return out;
-}
-
-template <class T>
-T comm::scatter(const std::vector<T>& bufs, int root) const {
-  const int p = size();
-  const std::uint64_t seq = coll_seq_++;
-  if (rank_ == root) {
-    YGM_CHECK(static_cast<int>(bufs.size()) == p,
-              "scatter requires one buffer per rank at root");
-    for (int dest = 0; dest < p; ++dest) {
-      if (dest != root) coll_send(bufs[static_cast<std::size_t>(dest)], dest,
-                                  coll_tag(seq, 0));
-    }
-    return bufs[static_cast<std::size_t>(root)];
-  }
-  return coll_recv<T>(root, coll_tag(seq, 0));
-}
-
-template <class T, class Op>
-T comm::scan(const T& v, Op op) const {
-  // Linear chain: correct and simple; prefix latency is O(P), fine for the
-  // rank counts this runtime hosts.
-  const std::uint64_t seq = coll_seq_++;
-  T acc = v;
-  if (rank_ > 0) {
-    acc = op(coll_recv<T>(rank_ - 1, coll_tag(seq, 0)), v);
-  }
-  if (rank_ + 1 < size()) {
-    coll_send(acc, rank_ + 1, coll_tag(seq, 0));
-  }
-  return acc;
-}
-
-template <class T, class Op>
-T comm::exscan(const T& v, Op op, T identity) const {
-  const std::uint64_t seq = coll_seq_++;
-  T before = identity;
-  if (rank_ > 0) {
-    before = coll_recv<T>(rank_ - 1, coll_tag(seq, 0));
-  }
-  if (rank_ + 1 < size()) {
-    coll_send(rank_ == 0 ? v : op(before, v), rank_ + 1, coll_tag(seq, 0));
-  }
-  return before;
 }
 
 template <class T>

@@ -42,13 +42,6 @@ struct op_lor {
   }
 };
 
-struct op_band {
-  template <class T>
-  T operator()(const T& a, const T& b) const {
-    return static_cast<T>(a & b);
-  }
-};
-
 struct op_bor {
   template <class T>
   T operator()(const T& a, const T& b) const {

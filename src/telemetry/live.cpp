@@ -216,9 +216,9 @@ void set_statusz_dir_hint(const std::string& dir) {
   g_statusz_dir_hint = dir;
 }
 
-// --------------------------------------------------------- process services
+// ---------------------------------------------------------------- services
 
-std::shared_ptr<void> make_process_services() {
+std::shared_ptr<void> start_services() {
 #if defined(YGM_TELEMETRY_DISABLED)
   return nullptr;
 #else

@@ -23,7 +23,7 @@
 // The layer follows the telemetry compile-out contract: with
 // -DYGM_TELEMETRY=OFF everything still compiles, tls() is a constant
 // nullptr so the inline feed helpers (telemetry.hpp) fold to nothing, and
-// make_process_services() returns an empty handle.
+// start_services() returns an empty handle.
 #pragma once
 
 #include <array>
@@ -273,7 +273,7 @@ void set_engine_stats_provider(std::function<engine_stats()> provider);
 engine_stats query_engine_stats();
 
 /// The engine marks itself as the sampler driver for its lifetime: when a
-/// driver is active, make_process_services() creates the sampler without a
+/// driver is active, start_services() creates the sampler without a
 /// dedicated thread and the engine loop pumps it via sampler_poll().
 void set_engine_driver(bool active) noexcept;
 bool engine_driver_active() noexcept;
@@ -307,13 +307,13 @@ int statusz_override() noexcept;
 std::string statusz_dir();
 void set_statusz_dir_hint(const std::string& dir);
 
-// --------------------------------------------------------- process services
+// ---------------------------------------------------------------- services
 
 /// Start the per-process live services the resolved knobs call for: a
 /// sampler when resolved_sample_ms() > 0 (engine-driven when an engine
 /// registered as driver, dedicated thread otherwise) and a statusz server
 /// when resolved_statusz(). Returns nullptr when nothing is enabled or
 /// telemetry is compiled out; destroying the handle stops both services.
-std::shared_ptr<void> make_process_services();
+std::shared_ptr<void> start_services();
 
 }  // namespace ygm::telemetry::live

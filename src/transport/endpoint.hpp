@@ -29,8 +29,8 @@
 // Backends today: transport/inproc/ (threads as ranks, one process),
 // transport/socket/ (one process per rank over Unix-domain sockets), and
 // transport/shm/ (one process per rank over shared-memory SPSC rings).
-// Selection is a runtime choice: mpisim::run takes a backend argument and
-// defaults to the YGM_TRANSPORT environment variable.
+// Selection is a runtime choice: ygm::run_options::backend, defaulting to
+// the YGM_TRANSPORT environment variable.
 #pragma once
 
 #include <atomic>
@@ -123,8 +123,6 @@ class endpoint {
   virtual std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) = 0;
   /// Blocking probe (miss-immune, like recv).
   virtual status probe(int src, int tag, std::uint64_t ctx) = 0;
-  /// Queued unreceived messages on this rank, across all contexts.
-  virtual std::size_t pending() = 0;
 
   // ------------------------------------------------------------ world hooks
 

@@ -99,8 +99,6 @@ status endpoint::probe(int src, int tag, std::uint64_t ctx) {
   return slot_->probe(src, tag, ctx);
 }
 
-std::size_t endpoint::pending() { return slot_->pending(); }
-
 double endpoint::wtime() const { return fabric_->wtime(); }
 
 void endpoint::abort_world() { fabric_->abort_all(); }

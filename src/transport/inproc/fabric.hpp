@@ -33,7 +33,7 @@ class fabric {
   mail_slot& slot(int world_rank);
 
   /// Install seeded fault injection on every rank slot. Must run before any
-  /// traffic flows (mpisim::run calls this before spawning rank threads).
+  /// traffic flows (ygm::launch calls this before spawning rank threads).
   void set_chaos(const chaos_config& cfg);
 
   /// The chaos config in force (defaults to everything-off).
@@ -78,7 +78,6 @@ class endpoint final : public transport::endpoint {
                                          std::uint64_t ctx) override;
   std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
   status probe(int src, int tag, std::uint64_t ctx) override;
-  std::size_t pending() override;
 
   double wtime() const override;
   void abort_world() override;

@@ -193,11 +193,6 @@ status mail_slot::probe(int src, int tag, std::uint64_t ctx) {
   }
 }
 
-std::size_t mail_slot::pending() const {
-  std::lock_guard lock(mtx_);
-  return q_.size();
-}
-
 void mail_slot::abort() {
   {
     std::lock_guard lock(mtx_);

@@ -73,10 +73,6 @@ class mail_slot {
   /// Blocking probe. Same threading caveat as recv_match.
   status probe(int src, int tag, std::uint64_t ctx);
 
-  /// Number of queued (unreceived) messages, across all contexts. Counts
-  /// chaos-delayed messages too (they have been sent, just not yet "seen").
-  std::size_t pending() const;
-
   /// Payload bytes currently queued (unreceived), across all contexts.
   /// Lock-free (relaxed atomic) so a *sender* can consult the destination's
   /// queue depth for backpressure without contending on the slot mutex.

@@ -23,7 +23,8 @@ std::vector<std::vector<std::byte>> launch(
   };
   hooks.post_reap = [](const std::string& dir, int world) {
     // Healthy ranks unlinked their own segment already (ENOENT here); this
-    // catches ranks that died before their endpoint destructor ran.
+    // catches ranks that died before their endpoint destructor ran and the
+    // segments an aborted world's endpoints leave for late rendezvousers.
     for (int r = 0; r < world; ++r) {
       (void)::shm_unlink(segment_name(dir, r).c_str());
     }

@@ -216,13 +216,19 @@ endpoint::~endpoint() {
   telemetry::count("transport.shm.futex_parks", futex_parks_);
 
   // Unlink our own segment; mappings (ours and every producer's) survive
-  // the unlink, so stragglers write into orphaned memory harmlessly. The
-  // launcher's post_reap sweep covers ranks that never reached this line.
+  // the unlink, so stragglers write into orphaned memory harmlessly. An
+  // aborted world keeps it: a rank can fail before a slower peer has
+  // mapped its segment, and that peer must still find the segment to
+  // finish rendezvous and see the abort instead of timing out. The
+  // launcher's post_reap sweep unlinks what this line leaves behind.
+  const bool keep_segment = aborted_ || world_marked_aborted();
   for (auto& s : segments_) {
     if (s.base != nullptr) ::munmap(s.base, s.bytes);
     s = {};
   }
-  if (!seg_name_.empty()) (void)::shm_unlink(seg_name_.c_str());
+  if (!seg_name_.empty() && !keep_segment) {
+    (void)::shm_unlink(seg_name_.c_str());
+  }
 }
 
 transport::channel& endpoint::peer(int dest) {
@@ -581,14 +587,6 @@ status endpoint::probe(int src, int tag, std::uint64_t ctx) {
               "matching message is queued");
     park_for_inbound(delayed ? 1000 : 10000);
   }
-}
-
-std::size_t endpoint::pending() {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.pending();
 }
 
 bool endpoint::progress_hook() {

@@ -516,14 +516,6 @@ status endpoint::probe(int src, int tag, std::uint64_t ctx) {
   }
 }
 
-std::size_t endpoint::pending() {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.pending();
-}
-
 bool endpoint::progress_hook() {
   // Never block the owning rank: if it is mid-operation, skip this pass.
   std::unique_lock lock(io_mtx_, std::try_to_lock);

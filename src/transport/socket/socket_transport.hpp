@@ -72,7 +72,6 @@ class endpoint final : public transport::endpoint {
                                          std::uint64_t ctx) override;
   std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
   status probe(int src, int tag, std::uint64_t ctx) override;
-  std::size_t pending() override;
 
   double wtime() const override;
   void abort_world() override;

@@ -31,6 +31,6 @@ void ygm_telemetry_off_probe() {
   tel::add(tel::fast_counter::deliveries);
   tel::live::gauge_set(tel::live::gauge::queued_bytes, 1.0);
   tel::live::note_latency(0, tel::live::latency_kind::e2e, 1.0);
-  auto services = tel::live::make_process_services();
+  auto services = tel::live::start_services();
   (void)services;
 }

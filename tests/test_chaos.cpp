@@ -83,7 +83,7 @@ trial_config make_trial(const sweep_cell& cell, std::uint64_t seed) {
 /// Run one trial end to end; returns all ranks' violations (rank 0's view).
 std::vector<std::string> sweep_one(const trial_config& t) {
   std::vector<std::string> all;
-  sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+  ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     const auto gathered = c.gather(local, 0);
     if (c.rank() == 0) {
@@ -124,13 +124,13 @@ TEST(ChaosUnit, IprobeMissCapBoundsConsecutiveFalseNegatives) {
   cfg.seed = 9;
   cfg.iprobe_miss_prob = 1.0;  // every eligible probe misses...
   cfg.max_consecutive_misses = 4;  // ...but never more than 4 in a row
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     constexpr int kTag = 5;
     if (c.rank() == 1) c.send(42, 0, kTag);
     c.barrier();  // message is queued at rank 0 before it probes
     if (c.rank() == 0) {
       int misses = 0;
-      std::optional<sim::status> st;
+      std::optional<ygm::transport::status> st;
       while (!(st = c.iprobe(1, kTag))) ++misses;
       EXPECT_EQ(misses, 4);
       EXPECT_EQ(c.recv<int>(1, kTag), 42);
@@ -146,7 +146,7 @@ TEST(ChaosUnit, PerSourceOrderSurvivesMaximalDelay) {
   cfg.seed = 31;
   cfg.delay_prob = 1.0;
   cfg.max_delay_ticks = 16;
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     constexpr int kTag = 7;
     constexpr int kCount = 50;
     if (c.rank() == 1) {
@@ -168,7 +168,7 @@ TEST(ChaosUnit, BlockingRecvAgesDelaysInsteadOfDeadlocking) {
   cfg.seed = 3;
   cfg.delay_prob = 1.0;
   cfg.max_delay_ticks = 64;
-  sim::run(2, cfg, [&](sim::comm& c) {
+  ygm::launch({.nranks = 2, .chaos = cfg}, [&](sim::comm& c) {
     if (c.rank() == 1) c.send(std::string("late"), 0, 2);
     if (c.rank() == 0) {
       EXPECT_EQ(c.recv<std::string>(1, 2), "late");
@@ -218,7 +218,13 @@ TEST(ChaosUnit, SameSeedSameFaultPattern) {
     cfg.seed = seed;
     cfg.iprobe_miss_prob = 0.5;
     cfg.max_consecutive_misses = 8;
-    sim::run(2, cfg, [&](sim::comm& c) {
+    // Rank 0 records into `pattern`, so the ranks must share this address
+    // space.
+    ygm::run_options o;
+    o.nranks = 2;
+    o.backend = ygm::transport::backend_kind::inproc;
+    o.chaos = cfg;
+    ygm::launch(o, [&](sim::comm& c) {
       if (c.rank() == 1) {
         for (int i = 0; i < 20; ++i) c.send(i, 0, 4);
       }
@@ -245,7 +251,7 @@ TEST(ChaosUnit, SameSeedSameFaultPattern) {
 // --------------------------------------- ledger unit behaviour (no chaos)
 
 TEST(DeliveryLedger, FlagsDuplicatesSealedDeliveriesAndCorruption) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     delivery_ledger ledger(0, 1);
     auto m = ledger.make_p2p(0, 16);
     ledger.note_delivery(m);
@@ -289,7 +295,7 @@ TEST(ChaosTelemetry, CountersAgreeWithLedgerAccounting) {
   ygm::telemetry::session sess;
   ygm::telemetry::set_global(&sess);
   std::vector<std::string> violations;
-  sim::run(t.num_ranks(), t.chaos, [&](sim::comm& c) {
+  ygm::launch({.nranks = t.num_ranks(), .chaos = t.chaos}, [&](sim::comm& c) {
     const auto local = run_chaos_trial(c, t);
     if (c.rank() == 0) violations = local;
   });
@@ -327,7 +333,7 @@ struct asym_msg {
 };
 
 TEST(ChaosSelfSend, SerializedLoopbackSurfacesAsymmetricSerialize) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     asym_msg got;
     mailbox<asym_msg> mb(world, [&](const asym_msg& m) { got = m; });
@@ -345,7 +351,7 @@ TEST(ChaosSelfSend, SerializedLoopbackSurfacesAsymmetricSerialize) {
 }
 
 TEST(ChaosSelfSend, SymmetricTypesRoundTripUnchanged) {
-  sim::run(1, [](sim::comm& c) {
+  ygm::launch({.nranks = 1}, [](sim::comm& c) {
     comm_world world(c, 1, scheme_kind::no_route);
     std::vector<probe_msg> got;
     mailbox<probe_msg> mb(world,

@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "core/ygm.hpp"
-#include "mpisim/runtime.hpp"
 #include "ser/serialize.hpp"
 #include "transport/endpoint.hpp"
 
@@ -47,8 +46,8 @@ std::vector<machine_case> machine_cases() {
   return cases;
 }
 
-sim::run_options on_shm(const topology& topo) {
-  sim::run_options o;
+ygm::run_options on_shm(const topology& topo) {
+  ygm::run_options o;
   o.nranks = topo.num_ranks();
   o.backend = ygm::transport::backend_kind::shm;
   // Pin chaos off so an ambient YGM_CHAOS cannot skew the exact counts.
@@ -61,7 +60,7 @@ using checks = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 void expect_on_every_rank(const topology& topo,
                           const std::function<checks(sim::comm&)>& body) {
-  const auto blobs = sim::run_collect(
+  const auto blobs = ygm::launch_collect(
       on_shm(topo), [&](sim::comm& c) { return ygm::ser::to_bytes(body(c)); });
   ASSERT_EQ(blobs.size(), static_cast<std::size_t>(topo.num_ranks()));
   for (std::size_t r = 0; r < blobs.size(); ++r) {

@@ -212,18 +212,6 @@ TEST(Launch, CollectRoundTrips) {
   }
 }
 
-// The deprecated mpisim::run overloads must keep working unchanged (the
-// whole existing suite exercises them; this pins the equivalence with the
-// new entry point in one place).
-TEST(Launch, DeprecatedRunWrapperStillWorks) {
-  std::atomic<int> calls{0};
-  sim::run(2, [&](sim::comm& c) {
-    EXPECT_EQ(ygm::progress::current(), nullptr);  // run() never starts one
-    calls.fetch_add(1 + c.rank() * 0);
-  });
-  EXPECT_EQ(calls.load(), 2);
-}
-
 // ------------------------------------------------------ engine mechanics
 
 TEST(ProgressEngine, StartStopMidRunAndCounters) {
@@ -393,6 +381,9 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
   tel::set_global(&session);
   ygm::run_options o;
   o.nranks = 4;
+  // The journeys are stitched from this process's session, which only the
+  // inproc engine records its hop events into.
+  o.backend = ygm::transport::backend_kind::inproc;
   o.progress_mode = ygm::progress::mode::engine;
   o.trace_sample = 1.0;
   static constexpr int kMsgs = 20;
@@ -444,7 +435,7 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
 // exchange + RAII release) fixes both; poll()'s lock-free early-out is why
 // the flag must stay a std::atomic.
 TEST(ExchangeClaim, ThrowingCallbackDoesNotWedgeTheMailbox) {
-  sim::run(2, [](sim::comm& c) {
+  ygm::launch({.nranks = 2}, [](sim::comm& c) {
     topology topo(1, 2);
     comm_world world(c, topo, scheme_kind::no_route);
     std::atomic<int> got{0};

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "mpisim/runtime.hpp"
+#include "core/launch.hpp"
 #include "transport/shm/launch.hpp"
 #include "transport/shm/shm_transport.hpp"
 #include "transport/shm/spsc_ring.hpp"
@@ -184,13 +184,13 @@ TEST(ShmCleanup, AbnormalChildExitLeavesNoSegments) {
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
 
-  sim::run_options o;
+  ygm::run_options o;
   o.nranks = 2;
   o.backend = tp::backend_kind::shm;
   o.chaos = sim::chaos_config{};
   o.socket_dir = dir;
   try {
-    sim::run(o, [](sim::comm& c) {
+    ygm::launch(o, [](sim::comm& c) {
       // Handshake is complete (the comm exists) and both segments are
       // mapped; now die without unwinding. Both ranks exit abruptly so no
       // survivor is left waiting out its fin deadline.
