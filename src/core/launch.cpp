@@ -12,8 +12,7 @@
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/inproc/fabric.hpp"
-#include "transport/shm/launch.hpp"
-#include "transport/socket/launch.hpp"
+#include "transport/proc/launch.hpp"
 
 namespace ygm {
 
@@ -137,31 +136,6 @@ std::vector<std::vector<std::byte>> run_inproc(
   return results;
 }
 
-/// Shared body for the process-per-rank backends (socket, shm): the
-/// backend's launch() owns forking, rendezvous, telemetry lane shipping,
-/// and error propagation; the body here builds the world communicator on
-/// the endpoint it is handed. The body runs in the forked child, so the
-/// engine starts there — a thread would not survive the fork. Children
-/// ship exactly one telemetry lane per rank back to the parent, so a child
-/// engine runs without a lane of its own and folds its summary counters
-/// into the rank's lane at teardown instead.
-template <typename LaunchFn>
-std::vector<std::vector<std::byte>> run_forked(
-    LaunchFn&& launch, int nranks, const std::string& socket_dir,
-    const std::optional<transport::chaos_config>& chaos,
-    const std::optional<progress::engine::options>& engine,
-    const rank_fn& fn) {
-  return launch(nranks, chaos, socket_dir,
-                [&](transport::endpoint& ep) {
-                  const process_runtime runtime(engine, -1);
-                  const auto members = world_members(ep.world_size());
-                  mpisim::comm c(ep, members, ep.world_rank(),
-                                 transport::world_context,
-                                 transport::world_context + 1);
-                  return fn(c);
-                });
-}
-
 }  // namespace
 
 std::vector<std::vector<std::byte>> launch_collect(const run_options& opts,
@@ -181,17 +155,23 @@ std::vector<std::vector<std::byte>> launch_collect(const run_options& opts,
   std::optional<progress::engine::options> engine;
   if (pmode == progress::mode::engine) engine = opts.engine;
 
-  switch (backend) {
-    case transport::backend_kind::socket:
-      return run_forked(transport::socket::launch, opts.nranks,
-                        opts.socket_dir, chaos, engine, fn);
-    case transport::backend_kind::shm:
-      return run_forked(transport::shm::launch, opts.nranks, opts.socket_dir,
-                        chaos, engine, fn);
-    case transport::backend_kind::inproc:
-      break;
+  if (backend == transport::backend_kind::inproc) {
+    return run_inproc(opts.nranks, chaos, engine, fn);
   }
-  return run_inproc(opts.nranks, chaos, engine, fn);
+  // Process-per-rank backends: the fork launcher owns forking, rendezvous,
+  // telemetry lane shipping and error propagation; the body runs in the
+  // forked child, so the engine starts there — a thread would not survive
+  // the fork. Children ship exactly one telemetry lane per rank back to the
+  // parent, so a child engine runs without a lane of its own and folds its
+  // summary counters into the rank's lane at teardown instead.
+  return transport::proc::launch(
+      backend, opts.nranks, chaos, opts.socket_dir,
+      [&](transport::endpoint& ep) {
+        const process_runtime runtime(engine, -1);
+        mpisim::comm c(ep, world_members(ep.world_size()), ep.world_rank(),
+                       transport::world_context, transport::world_context + 1);
+        return fn(c);
+      });
 }
 
 void launch(const run_options& opts,

@@ -1,6 +1,6 @@
 // Compatibility shim: chaos fault injection moved to the transport
-// substrate (src/transport/chaos.hpp) so both backends share one engine
-// (same seed, same fault pattern on either); mpisim re-exports the config
+// substrate (src/transport/chaos.hpp) so all backends share one engine
+// (same seed, same fault pattern on any); mpisim re-exports the config
 // so existing call sites keep compiling.
 #pragma once
 

@@ -27,11 +27,12 @@
 // All decisions are derived by stateless hashing from (seed, rank, source,
 // context, per-stream index), so a given seed reproduces the same fault
 // pattern for the same message streams regardless of thread interleaving.
-// Because the hashes live in mail_slot — which both backends share as their
-// matching engine — a seed produces the same fault pattern on the inproc
-// and socket backends alike. Blocking operations never miss and never
-// deadlock: a receiver blocked on a delayed message ages the delay with a
-// timed wait instead of sleeping forever.
+// Because the hashes live in mail_slot — which every backend shares as its
+// matching engine, under the one receive loop in transport::endpoint — a
+// seed produces the same fault pattern on the inproc, socket and shm
+// backends alike. Blocking operations never miss and never deadlock: a
+// receiver blocked on a delayed message ages the delay with a timed wait
+// instead of sleeping forever.
 //
 // Forced tiny mailbox capacities — the fourth adversary the chaos tests
 // sweep — are a mailbox constructor parameter, not a runtime knob; see

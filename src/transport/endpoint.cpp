@@ -1,13 +1,10 @@
 #include "transport/endpoint.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
-#include <atomic>
-
 #include "common/assert.hpp"
-#include "core/buffer_pool.hpp"  // sanctioned upward include (src/CMakeLists.txt)
-#include "ser/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ygm::transport {
@@ -65,104 +62,122 @@ void set_outq_cap_bytes(std::size_t cap) noexcept {
   g_outq_cap.store(cap, std::memory_order_relaxed);
 }
 
-void endpoint::post(int dest, envelope&& e) {
-  stats_.posts.fetch_add(1, std::memory_order_relaxed);
-  stats_.post_bytes.fetch_add(e.payload.size(), std::memory_order_relaxed);
-  peer(dest).post(std::move(e));
+endpoint::endpoint(backend_kind kind, int rank, int nranks, mail_slot& shared)
+    : kind_(kind), rank_(rank), nranks_(nranks), slot_(&shared),
+      has_wire_(false) {}
+
+endpoint::endpoint(backend_kind kind, int rank, int nranks,
+                   const chaos_config* chaos)
+    : kind_(kind), rank_(rank), nranks_(nranks), has_wire_(true),
+      own_slot_(std::make_unique<mail_slot>()) {
+  YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
+            std::string(to_string(kind)) + " endpoint rank outside world");
+  slot_ = own_slot_.get();
+  if (chaos != nullptr && chaos->enabled()) slot_->configure_chaos(*chaos, rank);
 }
 
-void endpoint::barrier(const std::vector<int>& members, int me,
-                       std::uint64_t ctx, int base_tag) {
-  // Dissemination barrier: ceil(log2 P) rounds; in round r every rank sends
-  // a token 2^r ahead and waits for the token from 2^r behind. Token sends
-  // count as mpi.sends/recvs exactly like the comm-layer collectives they
-  // replace, so metric totals are backend-invariant.
-  const int p = static_cast<int>(members.size());
-  int round = 0;
-  for (int k = 1; k < p; k <<= 1, ++round) {
-    const int dest = (me + k) % p;
-    const int src = (me - k % p + p) % p;
-    telemetry::add(telemetry::fast_counter::mpi_sends);
-    post(members[static_cast<std::size_t>(dest)],
-         envelope{me, base_tag + round, ctx, {}});
-    envelope e = recv_match(src, base_tag + round, ctx);
-    telemetry::add(telemetry::fast_counter::mpi_recvs);
-    telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
-  }
-}
-
-namespace {
-
-std::uint64_t decode_u64(const envelope& e) {
-  return ser::from_bytes<std::uint64_t>({e.payload.data(), e.payload.size()});
-}
-
-}  // namespace
-
-std::uint64_t endpoint::allreduce_sum(std::uint64_t v,
-                                      const std::vector<int>& members, int me,
-                                      std::uint64_t ctx, int base_tag) {
-  const int p = static_cast<int>(members.size());
-  const auto send_u64 = [&](std::uint64_t x, int dest_group, int tag) {
-    auto buf = core::buffer_pool::local().acquire();
-    ser::append_bytes(x, buf);
-    telemetry::add(telemetry::fast_counter::mpi_sends);
-    telemetry::add(telemetry::fast_counter::mpi_send_bytes, buf.size());
-    post(members[static_cast<std::size_t>(dest_group)],
-         envelope{me, tag, ctx, std::move(buf)});
-  };
-  const auto recv_u64 = [&](int src_group, int tag) {
-    envelope e = recv_match(src_group, tag, ctx);
-    telemetry::add(telemetry::fast_counter::mpi_recvs);
-    telemetry::add(telemetry::fast_counter::mpi_recv_bytes, e.payload.size());
-    const std::uint64_t x = decode_u64(e);
-    core::buffer_pool::local().release(std::move(e.payload));
-    return x;
-  };
-
-  // Binomial reduce to group rank 0 ...
-  std::uint64_t acc = v;
-  int mask = 1;
-  while (mask < p) {
-    if ((me & mask) == 0) {
-      const int peer_rank = me | mask;
-      if (peer_rank < p) acc += recv_u64(peer_rank, base_tag);
-    } else {
-      send_u64(acc, me & ~mask, base_tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  // ... then binomial broadcast of the total back out (tag block +1 keeps
-  // the two phases unambiguous even at P = 2).
-  mask = 1;
-  while (mask < p) mask <<= 1;
-  if (me != 0) {
-    int m = 1;
-    while ((me & m) == 0) m <<= 1;
-    acc = recv_u64(me & ~m, base_tag + 1);
-    mask = m;
-  }
-  for (int m = mask >> 1; m > 0; m >>= 1) {
-    if ((me & (m - 1)) == 0 && (me | m) < p && (me & m) == 0) {
-      send_u64(acc, me | m, base_tag + 1);
-    }
-  }
-  return acc;
-}
-
-void endpoint::publish_stats(std::uint64_t iprobe_calls,
-                             std::uint64_t iprobe_draws,
-                             std::uint64_t iprobe_misses) const {
-  const std::string prefix = std::string("transport.") +
-                             std::string(to_string(kind())) + ".";
+endpoint::~endpoint() {
+  // Runs on the rank's own thread, inside its telemetry lane, after the
+  // backend's destructor has published its own counters.
+  const std::string prefix =
+      std::string("transport.") + std::string(to_string(kind_)) + ".";
+  const auto probes = slot_->probe_stats();
   telemetry::count(prefix + "posts",
                    stats_.posts.load(std::memory_order_relaxed));
   telemetry::count(prefix + "post_bytes",
                    stats_.post_bytes.load(std::memory_order_relaxed));
-  telemetry::count(prefix + "iprobe_calls", iprobe_calls);
-  telemetry::count(prefix + "iprobe_draws", iprobe_draws);
-  telemetry::count(prefix + "iprobe_misses", iprobe_misses);
+  telemetry::count(prefix + "iprobe_calls", probes.iprobe_calls);
+  telemetry::count(prefix + "iprobe_draws", probes.draws);
+  telemetry::count(prefix + "iprobe_misses", probes.misses);
+}
+
+void endpoint::post(int dest, envelope&& e) {
+  YGM_ASSERT(dest >= 0 && dest < nranks_);
+  stats_.posts.fetch_add(1, std::memory_order_relaxed);
+  stats_.post_bytes.fetch_add(e.payload.size(), std::memory_order_relaxed);
+  if (dest == rank_) {
+    slot_->deliver(std::move(e));
+  } else {
+    send(dest, std::move(e));
+  }
+}
+
+bool endpoint::pump_wire() {
+  if (wire_error_) std::rethrow_exception(wire_error_);
+  try {
+    return pump();
+  } catch (...) {
+    wire_error_ = std::current_exception();
+    throw;
+  }
+}
+
+void endpoint::await(const mail_slot::miss& m, const char* op) {
+  std::unique_lock<std::mutex> lock;
+  if (has_wire_) {
+    lock = std::unique_lock(io_mtx_);
+    // Checked before the pump: a peer that dies mid-pump aborts the slot,
+    // and the retried match then reports the abort, not a silent world.
+    YGM_CHECK(m.delayed || !peers_silent(),
+              std::string(to_string(kind_)) + " " + op +
+                  " would block forever: all peers finished and no "
+                  "matching message is queued");
+    if (pump_wire()) return;  // fresh deliveries: retry the match now
+  }
+  wait(m);
+}
+
+envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
+  slot_->stall();
+  for (;;) {
+    mail_slot::miss m;
+    if (auto e = slot_->take(src, tag, ctx, &m)) return std::move(*e);
+    await(m, "recv");
+  }
+}
+
+status endpoint::probe(int src, int tag, std::uint64_t ctx) {
+  slot_->stall();
+  for (;;) {
+    mail_slot::miss m;
+    if (auto st = slot_->peek(src, tag, ctx, &m)) return *st;
+    await(m, "probe");
+  }
+}
+
+std::optional<envelope> endpoint::try_recv_match(int src, int tag,
+                                                 std::uint64_t ctx) {
+  if (has_wire_) {
+    std::lock_guard lock(io_mtx_);
+    pump_wire();
+  }
+  return slot_->take(src, tag, ctx);
+}
+
+std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
+  if (has_wire_) {
+    std::lock_guard lock(io_mtx_);
+    pump_wire();
+  }
+  return slot_->peek_may_miss(src, tag, ctx);
+}
+
+bool endpoint::progress_hook() {
+  if (!has_wire_) return false;
+  std::unique_lock lock(io_mtx_, std::try_to_lock);
+  if (!lock.owns_lock()) return false;
+  try {
+    return pump_wire();
+  } catch (...) {
+    // Kept in wire_error_: the owning rank's next pump rethrows it.
+    return false;
+  }
+}
+
+double endpoint::wtime() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
 }
 
 }  // namespace ygm::transport

@@ -13,7 +13,7 @@ namespace ygm::transport {
 /// the scales this repo runs at keep queues comfortably in memory). The
 /// payload vector travels by move end to end — acquired from the sender's
 /// buffer_pool, released to the receiver's — so the zero-copy discipline of
-/// docs/PERF.md survives the substrate seam on both backends.
+/// docs/PERF.md survives the substrate seam on every backend.
 struct envelope {
   int src = -1;              ///< sender's group rank within the communicator
   int tag = -1;              ///< user or collective tag

@@ -29,11 +29,6 @@ mail_slot& fabric::slot(int world_rank) {
   return *slots_[static_cast<std::size_t>(world_rank)];
 }
 
-double fabric::wtime() const {
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(now - epoch_).count();
-}
-
 void fabric::abort_all() {
   bool expected = false;
   if (aborted_.compare_exchange_strong(expected, true)) {
@@ -42,26 +37,22 @@ void fabric::abort_all() {
 }
 
 endpoint::endpoint(fabric& f, int rank)
-    : fabric_(&f), rank_(rank), slot_(&f.slot(rank)) {
-  channels_.reserve(static_cast<std::size_t>(f.size()));
-  for (int d = 0; d < f.size(); ++d) channels_.emplace_back(this, d);
+    : transport::endpoint(backend_kind::inproc, rank, f.size(), f.slot(rank)),
+      fabric_(&f) {
+  epoch_ = f.epoch();
 }
 
 endpoint::~endpoint() {
-  const auto probes = slot_->probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
   telemetry::count("transport.inproc.outq_bytes", outq_peak_bytes_);
   telemetry::count("transport.inproc.outq_stalls", outq_stalls_);
   telemetry::count("transport.inproc.outq_overflows", outq_overflows_);
 }
 
-void endpoint::post_local(int dest, envelope&& e) {
+void endpoint::send(int dest, envelope&& e) {
   mail_slot& dst = fabric_->slot(dest);
   const std::size_t cap = transport::outq_cap_bytes();
-  // Self-delivery never waits: the only thread that could drain this slot
-  // is the one posting.
-  if (cap != 0 && dest != rank_ &&
-      dst.queued_bytes() + e.payload.size() > cap && !fabric_->aborted()) {
+  if (cap != 0 && dst.queued_bytes() + e.payload.size() > cap &&
+      !fabric_->aborted()) {
     ++outq_stalls_;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
@@ -77,29 +68,16 @@ void endpoint::post_local(int dest, envelope&& e) {
   dst.deliver(std::move(e));
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < world_size());
-  return channels_[static_cast<std::size_t>(dest)];
+void endpoint::wait(const mail_slot::miss& m) {
+  // A chaos-delayed match matures with this rank's matching clock, which
+  // ticks on every retry: come back soon to age it. Otherwise sleep until
+  // a sender delivers (or the world aborts).
+  if (m.delayed) {
+    slot_->wait_delivery(m.seq, std::chrono::microseconds(50));
+  } else {
+    slot_->wait_delivery(m.seq);
+  }
 }
-
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  return slot_->recv_match(src, tag, ctx);
-}
-
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  return slot_->try_recv_match(src, tag, ctx);
-}
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  return slot_->iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  return slot_->probe(src, tag, ctx);
-}
-
-double endpoint::wtime() const { return fabric_->wtime(); }
 
 void endpoint::abort_world() { fabric_->abort_all(); }
 

@@ -31,11 +31,6 @@ std::uint64_t stream_key(int src, std::uint64_t ctx) noexcept {
          splitmix64(ctx);
 }
 
-/// How long a blocked receiver waits per clock tick while a matching message
-/// is chaos-delayed. Small enough that delays mature quickly, large enough
-/// to avoid a hot spin.
-constexpr auto kDelayedWait = std::chrono::microseconds(50);
-
 }  // namespace
 
 void mail_slot::configure_chaos(const chaos_config& cfg, int owner_rank) {
@@ -46,7 +41,7 @@ void mail_slot::configure_chaos(const chaos_config& cfg, int owner_rank) {
   rank_ = owner_rank;
 }
 
-void mail_slot::maybe_stall() {
+void mail_slot::stall() {
   if (!chaos_.stalls_active()) return;
   const std::uint64_t draw =
       stall_draws_.fetch_add(1, std::memory_order_relaxed);
@@ -59,7 +54,7 @@ void mail_slot::maybe_stall() {
 }
 
 void mail_slot::deliver(envelope&& e) {
-  maybe_stall();
+  stall();
   {
     std::lock_guard lock(mtx_);
     std::uint64_t visible_at = 0;
@@ -79,6 +74,7 @@ void mail_slot::deliver(envelope&& e) {
     }
     payload_bytes_.fetch_add(e.payload.size(), std::memory_order_relaxed);
     q_.push_back(queued{std::move(e), visible_at});
+    ++delivered_;
   }
   cv_.notify_all();
 }
@@ -94,38 +90,13 @@ mail_slot::match_result mail_slot::find_match_locked(
   return {npos, delayed};
 }
 
-envelope mail_slot::recv_match(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
-  std::unique_lock lock(mtx_);
-  for (;;) {
-    YGM_CHECK(!aborted_, "transport world aborted while blocked in recv");
-    tick_locked();
-    const auto m = find_match_locked(src, tag, ctx);
-    if (m.index != npos) {
-      envelope e = std::move(q_[m.index].env);
-      q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(m.index));
-      payload_bytes_.fetch_sub(e.payload.size(), std::memory_order_relaxed);
-      return e;
-    }
-    // A delayed match matures with this rank's clock, which only advances
-    // here — wake up periodically to age it instead of waiting for a
-    // notify that may never come.
-    if (m.delayed_match) {
-      cv_.wait_for(lock, kDelayedWait);
-    } else {
-      cv_.wait(lock);
-    }
-  }
-}
-
-std::optional<envelope> mail_slot::try_recv_match(int src, int tag,
-                                                  std::uint64_t ctx,
-                                                  bool* delayed_match) {
+std::optional<envelope> mail_slot::take(int src, int tag, std::uint64_t ctx,
+                                        miss* out) {
   std::lock_guard lock(mtx_);
   YGM_CHECK(!aborted_, "transport world aborted");
   tick_locked();
   const auto m = find_match_locked(src, tag, ctx);
-  if (delayed_match != nullptr) *delayed_match = m.delayed_match;
+  if (out != nullptr) *out = miss{m.delayed_match, delivered_};
   if (m.index == npos) return std::nullopt;
   envelope e = std::move(q_[m.index].env);
   q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(m.index));
@@ -133,8 +104,9 @@ std::optional<envelope> mail_slot::try_recv_match(int src, int tag,
   return e;
 }
 
-std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
+std::optional<status> mail_slot::peek_may_miss(int src, int tag,
+                                              std::uint64_t ctx) {
+  stall();
   std::lock_guard lock(mtx_);
   YGM_CHECK(!aborted_, "transport world aborted");
   tick_locked();
@@ -162,35 +134,27 @@ std::optional<status> mail_slot::iprobe(int src, int tag, std::uint64_t ctx) {
   return status{e.src, e.tag, e.payload.size()};
 }
 
-std::optional<status> mail_slot::try_probe(int src, int tag, std::uint64_t ctx,
-                                           bool* delayed_match) {
+std::optional<status> mail_slot::peek(int src, int tag, std::uint64_t ctx,
+                                      miss* out) {
   std::lock_guard lock(mtx_);
   YGM_CHECK(!aborted_, "transport world aborted");
   tick_locked();
   const auto m = find_match_locked(src, tag, ctx);
-  if (delayed_match != nullptr) *delayed_match = m.delayed_match;
+  if (out != nullptr) *out = miss{m.delayed_match, delivered_};
   if (m.index == npos) return std::nullopt;
   const envelope& e = q_[m.index].env;
   return status{e.src, e.tag, e.payload.size()};
 }
 
-status mail_slot::probe(int src, int tag, std::uint64_t ctx) {
-  maybe_stall();
+void mail_slot::wait_delivery(std::uint64_t seen) {
   std::unique_lock lock(mtx_);
-  for (;;) {
-    YGM_CHECK(!aborted_, "transport world aborted while blocked in probe");
-    tick_locked();
-    const auto m = find_match_locked(src, tag, ctx);
-    if (m.index != npos) {
-      const envelope& e = q_[m.index].env;
-      return status{e.src, e.tag, e.payload.size()};
-    }
-    if (m.delayed_match) {
-      cv_.wait_for(lock, kDelayedWait);
-    } else {
-      cv_.wait(lock);
-    }
-  }
+  cv_.wait(lock, [&] { return delivered_ != seen || aborted_; });
+}
+
+void mail_slot::wait_delivery(std::uint64_t seen,
+                              std::chrono::microseconds bound) {
+  std::unique_lock lock(mtx_);
+  cv_.wait_for(lock, bound, [&] { return delivered_ != seen || aborted_; });
 }
 
 void mail_slot::abort() {

@@ -1,13 +1,16 @@
 // Per-rank incoming-message queue with MPI-style matching.
 //
-// This is the matching engine both transport backends share: the inproc
-// backend delivers into it from sender threads, the socket backend delivers
-// into it from its progress pump as frames complete. Keeping one engine
-// keeps the matching semantics — and the chaos fault patterns, which hash
-// from slot-local state — bitwise identical across backends.
+// This is the matching engine every transport backend shares: the inproc
+// backend delivers into it from sender threads, the socket and shm backends
+// deliver into it from their wire pumps as frames complete. Keeping one
+// engine keeps the matching semantics — and the chaos fault patterns, which
+// hash from slot-local state — bitwise identical across backends. The slot
+// itself never blocks a receiver: the blocking receive loop is written
+// once, in transport::endpoint, over take/peek and wait_delivery.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -45,33 +48,40 @@ class mail_slot {
   /// pump).
   void deliver(envelope&& e);
 
-  /// Blocking matched receive; removes and returns the first match.
-  /// Throws ygm::error if the world has been aborted. Only usable when
-  /// deliverers run concurrently with the receiver (inproc backend); a
-  /// single-threaded backend drives try_recv_match from its progress loop
-  /// instead.
-  envelope recv_match(int src, int tag, std::uint64_t ctx);
+  /// Why a take or peek came back empty: whether a matching message
+  /// exists that is merely chaos-delayed (a blocked receiver then retries
+  /// promptly, ageing the delay), and the delivery count the match saw (the
+  /// key a blocked receiver hands to wait_delivery, so a delivery that
+  /// lands after the failed match is never slept through).
+  struct miss {
+    bool delayed = false;
+    std::uint64_t seq = 0;
+  };
 
-  /// Nonblocking matched receive. When `delayed_match` is non-null it is
-  /// set to true iff a matching message exists that is merely
-  /// chaos-delayed — a polling backend uses that to tick the clock promptly
-  /// (maturing the delay) instead of sleeping a full poll interval.
-  std::optional<envelope> try_recv_match(int src, int tag, std::uint64_t ctx,
-                                         bool* delayed_match = nullptr);
+  /// Nonblocking matched receive; removes and returns the first visible
+  /// match. `m`, when non-null, describes an empty result.
+  std::optional<envelope> take(int src, int tag, std::uint64_t ctx,
+                               miss* m = nullptr);
 
-  /// Nonblocking probe: peek at the first match without removing it. Under
-  /// chaos this is the only operation allowed to lie (bounded false
-  /// negatives).
-  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx);
+  /// Nonblocking peek at the first visible match, never a chaos miss (the
+  /// building block of the *blocking* probe, which must be miss-immune
+  /// just like recv). `m` as in take().
+  std::optional<status> peek(int src, int tag, std::uint64_t ctx,
+                             miss* m = nullptr);
 
-  /// Nonblocking peek that never takes chaos misses (the building block for
-  /// a polling backend's *blocking* probe, which must be miss-immune just
-  /// like recv). `delayed_match` as in try_recv_match.
-  std::optional<status> try_probe(int src, int tag, std::uint64_t ctx,
-                                  bool* delayed_match = nullptr);
+  /// iprobe's peek: like peek(), but under chaos this is the only operation
+  /// allowed to lie (bounded false negatives).
+  std::optional<status> peek_may_miss(int src, int tag, std::uint64_t ctx);
 
-  /// Blocking probe. Same threading caveat as recv_match.
-  status probe(int src, int tag, std::uint64_t ctx);
+  /// Wait until a delivery moves the count past `seen` (a miss::seq) or
+  /// the slot is aborted.
+  void wait_delivery(std::uint64_t seen);
+  /// As above, but return after `bound` at the latest.
+  void wait_delivery(std::uint64_t seen, std::chrono::microseconds bound);
+
+  /// Maybe sleep (chaos scheduling jitter). Called by every blocking
+  /// receive and probe on entry, whatever the backend.
+  void stall();
 
   /// Payload bytes currently queued (unreceived), across all contexts.
   /// Lock-free (relaxed atomic) so a *sender* can consult the destination's
@@ -132,15 +142,13 @@ class mail_slot {
   /// messages). Caller holds mtx_.
   void tick_locked() { ++clock_; }
 
-  /// Maybe sleep (scheduling jitter). Called WITHOUT mtx_ held.
-  void maybe_stall();
-
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   mutable std::mutex mtx_;
   mutable std::condition_variable cv_;
   std::deque<queued> q_;
   std::atomic<std::size_t> payload_bytes_{0};  ///< sum of q_ payload sizes
+  std::uint64_t delivered_ = 0;  ///< deliveries so far (wait_delivery key)
   bool aborted_ = false;
 
   // ------------------------------------------------------------- chaos

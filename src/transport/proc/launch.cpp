@@ -2,6 +2,8 @@
 
 #include <dirent.h>
 #include <poll.h>
+#include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,6 +13,7 @@
 #include <cstring>
 #include <exception>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +21,8 @@
 #include "ser/serialize.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
+#include "transport/shm/shm_transport.hpp"
+#include "transport/socket/socket_transport.hpp"
 
 namespace ygm::transport::proc {
 
@@ -138,6 +143,18 @@ void remove_rendezvous_dir(const std::string& dir) {
   (void)::rmdir(dir.c_str());
 }
 
+/// Build a child's endpoint over the rendezvous directory. Blocks until the
+/// world has rendezvoused; both backends enforce handshake_timeout_s.
+std::unique_ptr<transport::endpoint> make_endpoint(backend_kind backend,
+                                                   const std::string& dir,
+                                                   int rank, int nranks,
+                                                   const chaos_config* chaos) {
+  if (backend == backend_kind::shm) {
+    return std::make_unique<shm::endpoint>(dir, rank, nranks, chaos);
+  }
+  return std::make_unique<socket::endpoint>(dir, rank, nranks, chaos);
+}
+
 bool is_abort_echo(const std::string& msg) {
   // Ranks that died *because* the world was poisoned report the generic
   // abort text; the rank that started it carries the root cause.
@@ -147,16 +164,20 @@ bool is_abort_echo(const std::string& msg) {
 }  // namespace
 
 std::vector<std::vector<std::byte>> launch(
-    int nranks, const std::optional<chaos_config>& chaos,
-    const std::string& dir_hint, const launch_hooks& hooks,
+    backend_kind backend, int nranks, const std::optional<chaos_config>& chaos,
+    const std::string& dir_hint,
     const std::function<std::vector<std::byte>(transport::endpoint&)>& body) {
+  const std::string backend_name(to_string(backend));
+  YGM_CHECK(backend == backend_kind::socket || backend == backend_kind::shm,
+            "the fork launcher runs socket or shm ranks, not " + backend_name);
   YGM_CHECK(nranks > 0,
-            hooks.backend_name + " launch requires a positive rank count");
-  YGM_CHECK(static_cast<bool>(hooks.make_endpoint),
-            hooks.backend_name + " launch needs an endpoint factory");
+            backend_name + " launch requires a positive rank count");
 
   const std::string dir =
-      dir_hint.empty() ? make_rendezvous_dir(hooks.dir_prefix) : dir_hint;
+      dir_hint.empty()
+          ? make_rendezvous_dir(backend == backend_kind::shm ? "ygm-shm"
+                                                              : "ygm-sock")
+          : dir_hint;
   const bool own_dir = dir_hint.empty();
   const chaos_config* chaos_ptr =
       chaos.has_value() && chaos->enabled() ? &*chaos : nullptr;
@@ -208,7 +229,7 @@ std::vector<std::vector<std::byte>> launch(
       {
         telemetry::span rank_span("rank.main");
         try {
-          auto ep = hooks.make_endpoint(dir, r, nranks, chaos_ptr);
+          auto ep = make_endpoint(backend, dir, r, nranks, chaos_ptr);
           try {
             result = body(*ep);
           } catch (...) {
@@ -220,7 +241,7 @@ std::vector<std::vector<std::byte>> launch(
           errmsg = e.what();
         } catch (...) {
           rank_status = 1;
-          errmsg = "unknown error in " + hooks.backend_name + " rank";
+          errmsg = "unknown error in " + backend_name + " rank";
         }
       }  // rank.main span recorded; endpoint stats published to the lane
     }
@@ -243,6 +264,7 @@ std::vector<std::vector<std::byte>> launch(
   // report into a full pipe must never deadlock against a parent blocked in
   // waitpid.
   std::vector<std::vector<std::byte>> raw(static_cast<std::size_t>(nranks));
+  std::vector<bool> killed(static_cast<std::size_t>(nranks), false);
   std::vector<pollfd> pfds;
   std::vector<int> pfd_rank;
   for (;;) {
@@ -269,6 +291,16 @@ std::vector<std::vector<std::byte>> launch(
       } else if (got == 0 || (got < 0 && errno != EINTR && errno != EAGAIN)) {
         ::close(fd);
         fd = -1;
+        const auto dead = static_cast<std::size_t>(pfd_rank[i]);
+        if (raw[dead].empty() && !killed[dead]) {
+          // Died without reporting: end the survivors (their pipes are
+          // still open) instead of waiting on peers it may have wedged.
+          for (int s = 0; s < nranks; ++s) {
+            if (pipes[static_cast<std::size_t>(s)][0] < 0) continue;
+            ::kill(pids[static_cast<std::size_t>(s)], SIGKILL);
+            killed[static_cast<std::size_t>(s)] = true;
+          }
+        }
       }
     }
   }
@@ -283,21 +315,34 @@ std::vector<std::vector<std::byte>> launch(
         WIFEXITED(st) ? WEXITSTATUS(st) : 128 + WTERMSIG(st);
   }
 
-  // Backend sweep first (it may unlink artifacts *inside* dir left by
-  // abnormally-dying children), then the directory itself.
-  if (hooks.post_reap) hooks.post_reap(dir, nranks);
+  // Healthy shm ranks unlinked their own segment already (ENOENT here);
+  // this catches ranks that died before their endpoint destructor ran and
+  // the segments an aborted world's endpoints leave for late rendezvousers.
+  if (backend == backend_kind::shm) {
+    for (int r = 0; r < nranks; ++r) {
+      (void)::shm_unlink(shm::segment_name(dir, r).c_str());
+    }
+  }
   if (own_dir) remove_rendezvous_dir(dir);
 
-  // Parse reports; absorb telemetry even from failed ranks (their lanes
-  // show where the failure happened).
+  // Parse reports; absorb telemetry even from failed and killed ranks
+  // (their lanes show where the failure happened). The error rethrown is
+  // the first rank's own error; else the first rank that left no usable
+  // report; else the first echo of the world abort.
   std::vector<std::vector<std::byte>> results(static_cast<std::size_t>(nranks));
-  std::string first_error;
-  std::string first_real_error;  // not just an echo of the world abort
+  std::string own_error;
+  std::string lost_report;
+  std::string abort_echo;
   for (int r = 0; r < nranks; ++r) {
+    const bool was_killed = killed[static_cast<std::size_t>(r)];
     const auto& blob = raw[static_cast<std::size_t>(r)];
+    // A rank ended because another died has no report, or a partial one,
+    // through no fault of its own: only a complete report of it counts.
+    if (was_killed && blob.empty()) continue;
     std::string msg;
+    bool lost = true;
     if (blob.empty()) {
-      msg = hooks.backend_name + " rank " + std::to_string(r) +
+      msg = backend_name + " rank " + std::to_string(r) +
             " terminated without reporting (exit code " +
             std::to_string(exit_codes[static_cast<std::size_t>(r)]) + ")";
     } else {
@@ -313,22 +358,22 @@ std::vector<std::vector<std::byte>> launch(
           results[static_cast<std::size_t>(r)] = std::move(result);
         } else {
           msg = std::move(err);
+          lost = false;
         }
       } catch (const std::exception& e) {
-        msg = hooks.backend_name + " rank " + std::to_string(r) +
+        if (was_killed) continue;  // killed mid-write
+        msg = backend_name + " rank " + std::to_string(r) +
               " sent a corrupt report: " + e.what();
       }
     }
-    if (!msg.empty()) {
-      if (first_error.empty()) first_error = msg;
-      if (first_real_error.empty() && !is_abort_echo(msg)) {
-        first_real_error = msg;
-      }
-    }
+    if (msg.empty()) continue;
+    std::string& slot = lost              ? lost_report
+                        : is_abort_echo(msg) ? abort_echo
+                                             : own_error;
+    if (slot.empty()) slot = std::move(msg);
   }
-  if (!first_error.empty()) {
-    throw ygm::error(first_real_error.empty() ? first_error
-                                              : first_real_error);
+  for (const std::string* e : {&own_error, &lost_report, &abort_echo}) {
+    if (!e->empty()) throw ygm::error(*e);
   }
   return results;
 }

@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <new>
 #include <thread>
@@ -23,11 +23,10 @@ namespace ygm::transport::shm {
 
 namespace {
 
-double monotonic_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
+/// Frames a shm producer may publish into a main ring.
+constexpr frame_rules shm_rules{
+    kind_bit(frame_kind::data) | kind_bit(frame_kind::spill),
+    inline_payload_max};
 
 pair_block* block_at(void* base, int producer) {
   return reinterpret_cast<pair_block*>(
@@ -58,22 +57,15 @@ std::string segment_name(const std::string& dir, int rank) {
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
                    const chaos_config* chaos)
-    : rank_(rank), nranks_(nranks) {
-  YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
-            "shm endpoint rank outside world");
+    : transport::endpoint(backend_kind::shm, rank, nranks, chaos) {
   segments_.resize(static_cast<std::size_t>(nranks));
   out_.resize(static_cast<std::size_t>(nranks));
   in_.resize(static_cast<std::size_t>(nranks));
-  channels_.reserve(static_cast<std::size_t>(nranks));
-  for (int d = 0; d < nranks; ++d) channels_.emplace_back(this, d);
-  handshake(dir, chaos);
-  epoch_wtime_ = monotonic_seconds();
+  handshake(dir);
+  epoch_ = std::chrono::steady_clock::now();
 }
 
-void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
-  if (chaos != nullptr && chaos->enabled()) {
-    slot_.configure_chaos(*chaos, rank_);
-  }
+void endpoint::handshake(const std::string& dir) {
   if (nranks_ == 1) return;
 
   const std::size_t bytes = segment_bytes(nranks_);
@@ -190,11 +182,18 @@ endpoint::~endpoint() {
       ding_peer(d);
     }
     for (;;) {
-      pump_inbound();
+      try {
+        pump_inbound();
+      } catch (const ygm::error& e) {
+        // A bad frame header at teardown: its pair is no longer read, the
+        // rest still drain; a destructor cannot throw, so report it here.
+        std::fprintf(stderr, "ygm: %s\n", e.what());
+      }
       bool done = true;
       for (int r = 0; r < nranks_; ++r) {
         if (r == rank_) continue;
-        if (!in_[static_cast<std::size_t>(r)].fin_seen) done = false;
+        const auto& ip = in_[static_cast<std::size_t>(r)];
+        if (!ip.fin_seen && !ip.failed) done = false;
       }
       if (done || aborted_ || world_marked_aborted() ||
           monotonic_seconds() > deadline) {
@@ -204,8 +203,6 @@ endpoint::~endpoint() {
     }
   }
 
-  const auto probes = slot_.probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
   telemetry::count("transport.shm.ring_tx_bytes", ring_tx_bytes_);
   telemetry::count("transport.shm.ring_rx_bytes", ring_rx_bytes_);
   telemetry::count("transport.shm.spill_tx_bytes", spill_tx_bytes_);
@@ -220,7 +217,7 @@ endpoint::~endpoint() {
   // aborted world keeps it: a rank can fail before a slower peer has
   // mapped its segment, and that peer must still find the segment to
   // finish rendezvous and see the abort instead of timing out. The
-  // launcher's post_reap sweep unlinks what this line leaves behind.
+  // fork launcher's post-reap sweep unlinks what this line leaves behind.
   const bool keep_segment = aborted_ || world_marked_aborted();
   for (auto& s : segments_) {
     if (s.base != nullptr) ::munmap(s.base, s.bytes);
@@ -231,11 +228,6 @@ endpoint::~endpoint() {
   }
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < nranks_);
-  return channels_[static_cast<std::size_t>(dest)];
-}
-
 bool endpoint::world_marked_aborted() const {
   if (nranks_ == 1) return false;
   return own_hdr()->aborted.load(std::memory_order_acquire) != 0;
@@ -244,7 +236,7 @@ bool endpoint::world_marked_aborted() const {
 void endpoint::mark_aborted_locked() {
   if (!aborted_) {
     aborted_ = true;
-    slot_.abort();
+    slot_->abort();
   }
 }
 
@@ -293,6 +285,7 @@ void endpoint::park_for_inbound(std::uint32_t timeout_us) {
     for (int r = 0; r < nranks_ && !ready; ++r) {
       if (r == rank_) continue;
       const auto& p = in_[static_cast<std::size_t>(r)];
+      if (p.failed) continue;
       if (p.main.readable() != 0 ||
           (p.have_spill_hdr && p.spill.readable() != 0) ||
           (p.main.fin() && !p.fin_seen)) {
@@ -333,11 +326,7 @@ bool endpoint::wait_for_space(int dest, ring_view& ring, std::size_t need) {
   }
 }
 
-void endpoint::post_to_peer(int dest, envelope&& e) {
-  if (dest == rank_) {
-    slot_.deliver(std::move(e));
-    return;
-  }
+void endpoint::send(int dest, envelope&& e) {
   const bool spill = e.payload.size() > inline_payload_max;
   wire_header hdr;
   hdr.kind = static_cast<std::uint32_t>(spill ? frame_kind::spill
@@ -463,6 +452,7 @@ void endpoint::post_to_peer(int dest, envelope&& e) {
 }
 
 bool endpoint::pump_pair(int src, in_pair& p) {
+  if (p.failed) return false;
   bool moved = false;
   for (;;) {
     // Finish an in-progress spill first: per-pair frame order is main-ring
@@ -471,6 +461,7 @@ bool endpoint::pump_pair(int src, in_pair& p) {
       const std::size_t want = p.spill_hdr.payload_len - p.spill_got;
       const std::size_t take = std::min(want, p.spill.readable());
       if (take != 0) {
+        p.spill_payload.resize(p.spill_got + take);
         p.spill.peek(0, p.spill_payload.data() + p.spill_got, take);
         p.spill.consume(take);
         spill_rx_bytes_ += take;
@@ -479,16 +470,23 @@ bool endpoint::pump_pair(int src, in_pair& p) {
         wake_parked_producer(p.spill.ctrl());
       }
       if (p.spill_got < p.spill_hdr.payload_len) break;  // resume next pump
-      slot_.deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag, p.spill_hdr.ctx,
-                             std::move(p.spill_payload)});
+      slot_->deliver(envelope{p.spill_hdr.src, p.spill_hdr.tag,
+                              p.spill_hdr.ctx, std::move(p.spill_payload)});
       p.spill_payload = {};
       p.have_spill_hdr = false;
       p.spill_got = 0;
       continue;
     }
-    if (p.main.readable() < sizeof(wire_header)) break;
+    const std::size_t readable = p.main.readable();
+    if (readable < sizeof(wire_header)) break;
     wire_header hdr;
     p.main.peek(0, &hdr, sizeof(hdr));
+    try {
+      check_frame(hdr, shm_rules, src, readable);
+    } catch (...) {
+      p.failed = true;
+      throw;
+    }
     if (hdr.kind == static_cast<std::uint32_t>(frame_kind::data)) {
       // Whole-frame publication: the payload is readable the moment the
       // header is. Read it straight into a pooled vector — the buffer that
@@ -504,8 +502,8 @@ bool endpoint::pump_pair(int src, in_pair& p) {
       ring_rx_bytes_ += sizeof(hdr) + hdr.payload_len;
       moved = true;
       wake_parked_producer(p.main.ctrl());
-      slot_.deliver(envelope{hdr.src, hdr.tag, hdr.ctx, std::move(payload)});
-    } else if (hdr.kind == static_cast<std::uint32_t>(frame_kind::spill)) {
+      slot_->deliver(envelope{hdr.src, hdr.tag, hdr.ctx, std::move(payload)});
+    } else {  // spill
       p.main.consume(sizeof(hdr));
       ring_rx_bytes_ += sizeof(hdr);
       moved = true;
@@ -513,11 +511,10 @@ bool endpoint::pump_pair(int src, in_pair& p) {
       p.spill_hdr = hdr;
       p.have_spill_hdr = true;
       p.spill_got = 0;
-      p.spill_payload = core::buffer_pool::local().acquire(hdr.payload_len);
-      p.spill_payload.resize(hdr.payload_len);
-    } else {
-      YGM_CHECK(false, "corrupt frame kind in shm ring from rank " +
-                           std::to_string(src));
+      // The buffer grows as spill bytes arrive, not to the header's claim:
+      // a corrupt payload_len then costs no memory the peer did not send.
+      p.spill_payload = core::buffer_pool::local().acquire(
+          std::min<std::size_t>(hdr.payload_len, spill_ring_bytes));
     }
   }
   if (!p.fin_seen && p.main.fin() && p.main.readable() == 0 &&
@@ -538,65 +535,12 @@ bool endpoint::pump_inbound() {
   return moved;
 }
 
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  // Per-iteration locking, same discipline as the socket backend: the mutex
-  // is released between park intervals (and the intervals are short) so a
-  // concurrent progress-engine post is never starved for long.
-  for (;;) {
-    bool delayed = false;
-    if (auto e = slot_.try_recv_match(src, tag, ctx, &delayed)) {
-      return std::move(*e);
-    }
-    std::lock_guard lock(io_mtx_);
-    if (pump_inbound()) continue;  // fresh deliveries: retry the match now
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "shm recv would block forever: all peers finished and no "
-              "matching message is queued");
-    // A chaos-delayed match matures with the slot clock, which ticks on
-    // each try above — park briefly so the delay ages instead of waiting a
-    // full interval for ring traffic that may never come.
-    park_for_inbound(delayed ? 1000 : 10000);
-  }
+void endpoint::wait(const mail_slot::miss& m) {
+  // A chaos-delayed match matures with the slot clock, which ticks on each
+  // retry — park briefly so the delay ages instead of waiting a full
+  // interval for ring traffic that may never come.
+  park_for_inbound(m.delayed ? 1000 : 10000);
 }
-
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.try_recv_match(src, tag, ctx);
-}
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    pump_inbound();
-  }
-  return slot_.iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  for (;;) {
-    bool delayed = false;
-    if (auto st = slot_.try_probe(src, tag, ctx, &delayed)) return *st;
-    std::lock_guard lock(io_mtx_);
-    if (pump_inbound()) continue;
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "shm probe would block forever: all peers finished and no "
-              "matching message is queued");
-    park_for_inbound(delayed ? 1000 : 10000);
-  }
-}
-
-bool endpoint::progress_hook() {
-  // Never block the owning rank: if it is mid-operation, skip this pass.
-  std::unique_lock lock(io_mtx_, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
-  return pump_inbound();
-}
-
-double endpoint::wtime() const { return monotonic_seconds() - epoch_wtime_; }
 
 void endpoint::abort_world() {
   {
@@ -625,14 +569,14 @@ void endpoint::abort_world() {
       }
     }
   }
-  slot_.abort();
+  slot_->abort();
 }
 
-bool endpoint::all_peers_silent() const {
+bool endpoint::peers_silent() const {
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     const auto& p = in_[static_cast<std::size_t>(r)];
-    if (!p.fin_seen) return false;
+    if (!p.fin_seen && !p.failed) return false;
     if (p.main.readable() != 0 || p.have_spill_hdr) return false;
   }
   return true;

@@ -12,8 +12,8 @@
 // and the magic is visible, under the same handshake deadline as the socket
 // backend.
 //
-// Wire format: the frame header {kind, payload_len, src, tag, ctx} is
-// byte-identical to the socket backend's. A payload at or under
+// Wire format: the shared wire_header (transport/wire.hpp), vetted by
+// check_frame before any of its fields is used. A payload at or under
 // inline_payload_max rides in the main ring behind its header, staged
 // together and published with a single release store — the consumer can
 // trust any visible header (sizes never tear) and the whole frame is
@@ -38,28 +38,26 @@
 // and transport::outq_cap_bytes() is additionally honoured when it is
 // tighter than the ring, mirroring the socket backend's accept rule.
 //
-// The receive side shares mail_slot with the other backends: the pump
-// delivers completed frames into the slot, so all matching/chaos semantics
-// come from the one engine and a chaos seed reproduces the same fault
-// pattern on any backend.
+// The receive side is transport::endpoint's shared loop over the rank's
+// mail_slot: pump() delivers completed frames into the slot, and a blocked
+// receive parks on the recv doorbell.
 //
 // Failure: abort_world sets an aborted flag in every mapped segment and
 // bumps every doorbell; peers notice on their next pump or park and poison
 // their slots. A peer that dies without fin leaves its segment behind —
-// the launcher's post_reap sweep shm_unlinks every "/<token>.r<i>" after
-// reaping children, so abnormal exits cannot leak /dev/shm space.
+// the fork launcher (transport/proc/launch.hpp) shm_unlinks every
+// "/<token>.r<i>" after reaping children, so abnormal exits cannot leak
+// /dev/shm space.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "transport/chaos.hpp"
 #include "transport/endpoint.hpp"
-#include "transport/mail_slot.hpp"
 #include "transport/shm/spsc_ring.hpp"
+#include "transport/wire.hpp"
 
 namespace ygm::transport::shm {
 
@@ -105,58 +103,22 @@ constexpr std::size_t segment_bytes(int nranks) {
 
 /// "/<token>.r<rank>" — the shm_open name of one rank's inbound segment,
 /// where token is the basename of the rendezvous directory. Exposed so the
-/// launcher's orphan sweep and tests can reconstruct names.
+/// fork launcher's orphan sweep and tests can reconstruct names.
 std::string segment_name(const std::string& dir, int rank);
 
 class endpoint final : public transport::endpoint {
  public:
   /// Rendezvous under `dir` (every rank of the world passes the same
   /// directory): create this rank's segment, then map every peer's. Blocks
-  /// until all segments are up or `handshake_timeout_s` elapses. `chaos`
+  /// until all segments are up or handshake_timeout_s elapses. `chaos`
   /// installs fault injection on the receive slot (nullptr: none).
   endpoint(const std::string& dir, int rank, int nranks,
            const chaos_config* chaos);
   ~endpoint() override;
 
-  backend_kind kind() const noexcept override { return backend_kind::shm; }
-  int world_rank() const noexcept override { return rank_; }
-  int world_size() const noexcept override { return nranks_; }
-
-  transport::channel& peer(int dest) override;
-
-  envelope recv_match(int src, int tag, std::uint64_t ctx) override;
-  std::optional<envelope> try_recv_match(int src, int tag,
-                                         std::uint64_t ctx) override;
-  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
-  status probe(int src, int tag, std::uint64_t ctx) override;
-
-  double wtime() const override;
   void abort_world() override;
 
-  /// Engine-donated progress: try-lock the I/O mutex (never block the rank
-  /// mid-operation) and drain inbound rings; reports whether bytes moved.
-  bool progress_hook() override;
-
-  /// Seconds a rank will wait for the rest of the world to rendezvous.
-  static constexpr double handshake_timeout_s = 30.0;
-
  private:
-  enum class frame_kind : std::uint32_t {
-    data = 2,   ///< header + payload inline in the main ring
-    spill = 5,  ///< header in the main ring; payload streams via spill ring
-  };
-
-  // Byte-identical to socket::endpoint::wire_header — the framed-header
-  // layout is the ABI shared by the process-per-rank backends.
-  struct wire_header {
-    std::uint32_t kind = 0;
-    std::uint32_t payload_len = 0;
-    std::int32_t src = 0;
-    std::int32_t tag = 0;
-    std::uint64_t ctx = 0;
-  };
-  static_assert(sizeof(wire_header) == 24, "framed header layout is the ABI");
-
   /// One mapped segment (own or a peer's).
   struct segment {
     void* base = nullptr;
@@ -182,20 +144,17 @@ class endpoint final : public transport::endpoint {
     std::vector<std::byte> spill_payload;
     std::size_t spill_got = 0;
     bool fin_seen = false;
+    bool failed = false;  ///< sent a bad header; never read again
   };
 
-  class peer_channel final : public transport::channel {
-   public:
-    peer_channel() = default;
-    peer_channel(endpoint* ep, int dest) : ep_(ep), dest_(dest) {}
-    void post(envelope&& e) override { ep_->post_to_peer(dest_, std::move(e)); }
-
-   private:
-    endpoint* ep_ = nullptr;
-    int dest_ = 0;
-  };
-
-  void post_to_peer(int dest, envelope&& e);
+  void send(int dest, envelope&& e) override;
+  /// pump_inbound(): drain every inbound ring into the slot.
+  bool pump() override { return pump_inbound(); }
+  /// park_for_inbound() for 1 ms while a chaos-delayed match ages, else
+  /// 10 ms.
+  void wait(const mail_slot::miss& m) override;
+  /// True when every peer has said fin and left nothing unread.
+  bool peers_silent() const override;
 
   /// Drain every inbound ring into the slot (strictly nonblocking).
   /// Returns true if any bytes were consumed.
@@ -214,30 +173,19 @@ class endpoint final : public transport::endpoint {
   /// own inbound each pass and honours abort. Returns false on abort.
   bool wait_for_space(int dest, ring_view& ring, std::size_t need);
 
-  void handshake(const std::string& dir, const chaos_config* chaos);
+  void handshake(const std::string& dir);
   void mark_aborted_locked();
   bool world_marked_aborted() const;
-  bool all_peers_silent() const;
   void publish_outq_gauge() const;
 
   seg_header* own_hdr() const {
     return segments_[static_cast<std::size_t>(rank_)].hdr;
   }
 
-  int rank_ = 0;
-  int nranks_ = 1;
   std::string seg_name_;  ///< own segment's shm name (for unlink)
-  /// Serializes all ring-touching state between the owning rank thread and
-  /// the progress engine, same discipline as the socket backend: blocking
-  /// operations lock per pump iteration (with short park timeouts) so the
-  /// engine's posts are never starved for long; the engine only try-locks.
-  std::mutex io_mtx_;
-  mail_slot slot_;
   std::vector<segment> segments_;  // indexed by world rank
   std::vector<out_pair> out_;      // toward each peer; self unused
   std::vector<in_pair> in_;        // from each peer; self unused
-  std::vector<peer_channel> channels_;
-  double epoch_wtime_ = 0;  // CLOCK_MONOTONIC seconds at setup
   bool aborted_ = false;
   // ring-level counters, published with the endpoint stats at teardown
   std::uint64_t ring_tx_bytes_ = 0;

@@ -4,12 +4,12 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -24,11 +24,10 @@ namespace ygm::transport::socket {
 
 namespace {
 
-double monotonic_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
+/// Frames a socket peer may send once the mesh is up.
+constexpr frame_rules socket_rules{
+    kind_bit(frame_kind::data) | kind_bit(frame_kind::abort) |
+    kind_bit(frame_kind::fin)};
 
 std::string sock_path(const std::string& dir, int rank) {
   return dir + "/r" + std::to_string(rank) + ".sock";
@@ -82,20 +81,13 @@ sockaddr_un make_addr(const std::string& path) {
 
 endpoint::endpoint(const std::string& dir, int rank, int nranks,
                    const chaos_config* chaos)
-    : rank_(rank), nranks_(nranks) {
-  YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
-            "socket endpoint rank outside world");
+    : transport::endpoint(backend_kind::socket, rank, nranks, chaos) {
   peers_.resize(static_cast<std::size_t>(nranks));
-  channels_.reserve(static_cast<std::size_t>(nranks));
-  for (int d = 0; d < nranks; ++d) channels_.emplace_back(this, d);
-  handshake(dir, chaos);
-  epoch_wtime_ = monotonic_seconds();
+  handshake(dir);
+  epoch_ = std::chrono::steady_clock::now();
 }
 
-void endpoint::handshake(const std::string& dir, const chaos_config* chaos) {
-  if (chaos != nullptr && chaos->enabled()) {
-    slot_.configure_chaos(*chaos, rank_);
-  }
+void endpoint::handshake(const std::string& dir) {
   if (nranks_ == 1) return;
 
   // Bind + listen first, so peers' connect() can succeed (into the backlog)
@@ -191,7 +183,13 @@ endpoint::~endpoint() {
       }
     }
     if (done || monotonic_seconds() > deadline) break;
-    progress(10);
+    try {
+      progress(10);
+    } catch (const ygm::error& e) {
+      // A bad frame header at teardown: its peer is no longer read, the
+      // rest still drain; a destructor cannot throw, so report it here.
+      std::fprintf(stderr, "ygm: %s\n", e.what());
+    }
   }
 
   for (auto& p : peers_) {
@@ -199,8 +197,6 @@ endpoint::~endpoint() {
     p.fd = -1;
   }
 
-  const auto probes = slot_.probe_stats();
-  publish_stats(probes.iprobe_calls, probes.draws, probes.misses);
   telemetry::count("transport.socket.wire_tx_bytes", wire_tx_bytes_);
   telemetry::count("transport.socket.wire_rx_bytes", wire_rx_bytes_);
   telemetry::count("transport.socket.wire_sendmsg_calls", wire_sendmsg_calls_);
@@ -209,16 +205,7 @@ endpoint::~endpoint() {
   telemetry::count("transport.socket.outq_stalls", outq_stalls_);
 }
 
-transport::channel& endpoint::peer(int dest) {
-  YGM_ASSERT(dest >= 0 && dest < nranks_);
-  return channels_[static_cast<std::size_t>(dest)];
-}
-
-void endpoint::post_to_peer(int dest, envelope&& e) {
-  if (dest == rank_) {
-    slot_.deliver(std::move(e));
-    return;
-  }
+void endpoint::send(int dest, envelope&& e) {
   const std::size_t frame_bytes = sizeof(wire_header) + e.payload.size();
   // Live outbound-depth gauge: total bytes queued across peers. Published
   // only from here (the rank thread), so each telemetry lane's gauge slot
@@ -329,7 +316,7 @@ bool endpoint::flush_peer(peer_state& p) {
       if (errno == EINTR) continue;
       // EPIPE/ECONNRESET: peer is gone. During orderly teardown that just
       // means it exited first; otherwise it is a world failure.
-      fail_peer(p, "send");
+      fail_peer(p);
       return false;
     }
     wire_tx_bytes_ += static_cast<std::uint64_t>(w);
@@ -348,8 +335,7 @@ bool endpoint::flush_peer(peer_state& p) {
   return true;
 }
 
-void endpoint::fail_peer(peer_state& p, const char* why) {
-  (void)why;
+void endpoint::fail_peer(peer_state& p) {
   p.eof = true;
   p.outq.clear();
   p.outq_bytes = 0;  // releases any post blocked on this peer's cap
@@ -357,27 +343,27 @@ void endpoint::fail_peer(peer_state& p, const char* why) {
   // local world so blocked operations surface an error instead of hanging.
   if (!p.fin_seen && !aborted_) {
     aborted_ = true;
-    slot_.abort();
+    slot_->abort();
   }
 }
 
 void endpoint::handle_frame(peer_state& p) {
   switch (static_cast<frame_kind>(p.hdr.kind)) {
     case frame_kind::data:
-      slot_.deliver(envelope{p.hdr.src, p.hdr.tag, p.hdr.ctx,
-                             std::move(p.payload)});
+      slot_->deliver(envelope{p.hdr.src, p.hdr.tag, p.hdr.ctx,
+                              std::move(p.payload)});
       p.payload = {};
       break;
     case frame_kind::abort:
       aborted_ = true;
-      slot_.abort();
+      slot_->abort();
       break;
     case frame_kind::fin:
       p.fin_seen = true;
       break;
     case frame_kind::hello:
-    default:
-      YGM_CHECK(false, "unexpected frame kind on established socket channel");
+    case frame_kind::spill:
+      break;  // check_frame rejected these on arrival
   }
   p.hdr_got = 0;
   p.payload_got = 0;
@@ -390,7 +376,7 @@ void endpoint::read_peer(peer_state& p) {
                                sizeof(wire_header) - p.hdr_got);
       if (r == 0) {
         if (!p.fin_seen) {
-          fail_peer(p, "eof");
+          fail_peer(p);
         } else {
           p.eof = true;
         }
@@ -399,13 +385,20 @@ void endpoint::read_peer(peer_state& p) {
       if (r < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
         if (errno == EINTR) continue;
-        fail_peer(p, "read");
+        fail_peer(p);
         return;
       }
       wire_rx_bytes_ += static_cast<std::uint64_t>(r);
       p.hdr_got += static_cast<std::size_t>(r);
       if (p.hdr_got < sizeof(wire_header)) continue;
       std::memcpy(&p.hdr, p.hdr_buf.data(), sizeof(wire_header));
+      try {
+        check_frame(p.hdr, socket_rules,
+                    static_cast<int>(&p - peers_.data()), SIZE_MAX);
+      } catch (...) {
+        p.eof = true;  // the stream is out of frame sync: never read it again
+        throw;
+      }
       if (p.hdr.payload_len > 0) {
         // Read the payload straight into a pooled vector: the buffer that
         // crosses into mail_slot (and later into the application's recv) is
@@ -422,13 +415,13 @@ void endpoint::read_peer(peer_state& p) {
     const std::size_t want = p.hdr.payload_len - p.payload_got;
     const ssize_t r = ::read(p.fd, p.payload.data() + p.payload_got, want);
     if (r == 0) {
-      fail_peer(p, "eof mid-frame");
+      fail_peer(p);
       return;
     }
     if (r < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      fail_peer(p, "read");
+      fail_peer(p);
       return;
     }
     wire_rx_bytes_ += static_cast<std::uint64_t>(r);
@@ -467,65 +460,18 @@ void endpoint::progress(int timeout_ms) {
   }
 }
 
-envelope endpoint::recv_match(int src, int tag, std::uint64_t ctx) {
-  // Per-iteration locking: the mutex is released between pump intervals
-  // (and the intervals are short) so a concurrent progress-engine post is
-  // never starved for more than one poll timeout.
-  for (;;) {
-    bool delayed = false;
-    if (auto e = slot_.try_recv_match(src, tag, ctx, &delayed)) {
-      return std::move(*e);
-    }
-    std::lock_guard lock(io_mtx_);
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "socket recv would block forever: all peers finished and no "
-              "matching message is queued");
-    // A chaos-delayed match matures with the slot clock, which ticks on each
-    // try above — poll briefly so the delay ages instead of waiting a full
-    // interval for wire traffic that may never come.
-    progress(delayed ? 1 : 10);
-  }
-}
-
-std::optional<envelope> endpoint::try_recv_match(int src, int tag,
-                                                 std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.try_recv_match(src, tag, ctx);
-}
-
-std::optional<status> endpoint::iprobe(int src, int tag, std::uint64_t ctx) {
-  {
-    std::lock_guard lock(io_mtx_);
-    progress(0);
-  }
-  return slot_.iprobe(src, tag, ctx);
-}
-
-status endpoint::probe(int src, int tag, std::uint64_t ctx) {
-  for (;;) {
-    bool delayed = false;
-    if (auto st = slot_.try_probe(src, tag, ctx, &delayed)) return *st;
-    std::lock_guard lock(io_mtx_);
-    YGM_CHECK(delayed || !all_peers_silent(),
-              "socket probe would block forever: all peers finished and no "
-              "matching message is queued");
-    progress(delayed ? 1 : 10);
-  }
-}
-
-bool endpoint::progress_hook() {
-  // Never block the owning rank: if it is mid-operation, skip this pass.
-  std::unique_lock lock(io_mtx_, std::try_to_lock);
-  if (!lock.owns_lock()) return false;
+bool endpoint::pump() {
   const std::uint64_t before = wire_tx_bytes_ + wire_rx_bytes_;
   progress(0);
   return wire_tx_bytes_ + wire_rx_bytes_ != before;
 }
 
-double endpoint::wtime() const { return monotonic_seconds() - epoch_wtime_; }
+void endpoint::wait(const mail_slot::miss& m) {
+  // A chaos-delayed match matures with the slot clock, which ticks on each
+  // retry — poll briefly so the delay ages instead of waiting a full
+  // interval for wire traffic that may never come.
+  progress(m.delayed ? 1 : 10);
+}
 
 void endpoint::abort_world() {
   {
@@ -537,14 +483,20 @@ void endpoint::abort_world() {
         auto& p = peers_[static_cast<std::size_t>(r)];
         if (p.fd >= 0 && !p.eof) enqueue_control(p, frame_kind::abort);
       }
-      // Best-effort: give the abort frames one brief pump to leave.
-      progress(0);
+      // Best-effort: give the abort frames one brief pump to leave. A bad
+      // frame header met here must not replace the error that is aborting
+      // the world, so it is only reported.
+      try {
+        progress(0);
+      } catch (const ygm::error& e) {
+        std::fprintf(stderr, "ygm: %s\n", e.what());
+      }
     }
   }
-  slot_.abort();
+  slot_->abort();
 }
 
-bool endpoint::all_peers_silent() const {
+bool endpoint::peers_silent() const {
   for (int r = 0; r < nranks_; ++r) {
     if (r == rank_) continue;
     const auto& p = peers_[static_cast<std::size_t>(r)];

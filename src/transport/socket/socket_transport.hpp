@@ -8,14 +8,15 @@
 // poll(2) progress pump — the per-peer channel + explicit-progress structure
 // of the PGAS async-progress designs (arXiv 1609.08574).
 //
-// Wire format: length-prefixed frames, header {kind, payload_len, src, tag,
-// ctx} followed by the payload bytes. Sends are writev-style gather I/O
-// (sendmsg with a two-entry iovec) so header and payload leave in one
-// syscall without a copy into a staging buffer: the pooled packet vector
+// Wire format: length-prefixed frames, the shared wire_header
+// (transport/wire.hpp) followed by the payload bytes; each header is vetted
+// by check_frame as it completes, before its length is trusted. Sends are
+// writev-style gather I/O (sendmsg with a two-entry iovec) so header and
+// payload leave in one syscall without a copy into a staging buffer: the pooled packet vector
 // handed to post() by value IS the iovec base, and it is released back to
 // core::buffer_pool when the wire accepts the last byte — PR 5's zero-copy
 // discipline across the process boundary. A send the kernel won't accept
-// whole parks the remainder on the channel's outbound queue, which is
+// whole parks the remainder on the peer's outbound queue, which is
 // *bounded*: at transport::outq_cap_bytes() the posting rank stops
 // accepting new data frames and pumps the wire (POLLOUT wakes it when the
 // peer drains, and the pump keeps reading inbound frames meanwhile, so two
@@ -23,11 +24,9 @@
 // the queue has room. Control frames (hello/abort/fin) bypass the cap so
 // teardown and failure propagation can never be wedged behind data.
 //
-// The receive side shares mail_slot with the inproc backend: completed data
-// frames are delivered into the slot by the pump, and all matching/chaos
-// semantics come from the shared engine. Blocking operations are
-// pump-then-match loops (the slot's condition variable has no in-process
-// senders to signal it here).
+// The receive side is transport::endpoint's shared loop over the rank's
+// mail_slot: completed data frames are delivered into the slot by pump(),
+// and a blocked receive waits in poll(2) for wire activity.
 //
 // Failure: an uncaught exception in a rank turns into an abort frame to
 // every peer plus a poisoned slot; peers reading the frame (or seeing a
@@ -40,14 +39,12 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "transport/chaos.hpp"
 #include "transport/endpoint.hpp"
-#include "transport/mail_slot.hpp"
+#include "transport/wire.hpp"
 
 namespace ygm::transport::socket {
 
@@ -55,52 +52,15 @@ class endpoint final : public transport::endpoint {
  public:
   /// Rendezvous under `dir` (every rank of the world passes the same
   /// directory) and connect the full mesh. Blocks until all peers are up or
-  /// `handshake_timeout_s` elapses. `chaos` installs fault injection on the
+  /// handshake_timeout_s elapses. `chaos` installs fault injection on the
   /// receive slot (nullptr: none).
   endpoint(const std::string& dir, int rank, int nranks,
            const chaos_config* chaos);
   ~endpoint() override;
 
-  backend_kind kind() const noexcept override { return backend_kind::socket; }
-  int world_rank() const noexcept override { return rank_; }
-  int world_size() const noexcept override { return nranks_; }
-
-  transport::channel& peer(int dest) override;
-
-  envelope recv_match(int src, int tag, std::uint64_t ctx) override;
-  std::optional<envelope> try_recv_match(int src, int tag,
-                                         std::uint64_t ctx) override;
-  std::optional<status> iprobe(int src, int tag, std::uint64_t ctx) override;
-  status probe(int src, int tag, std::uint64_t ctx) override;
-
-  double wtime() const override;
   void abort_world() override;
 
-  /// Engine-donated progress: try-lock the I/O mutex (never block the rank
-  /// mid-operation) and run one nonblocking pump; reports whether any wire
-  /// bytes moved.
-  bool progress_hook() override;
-
-  /// Seconds a rank will wait for the rest of the world to rendezvous.
-  static constexpr double handshake_timeout_s = 30.0;
-
  private:
-  enum class frame_kind : std::uint32_t {
-    hello = 1,  ///< handshake: src names the connecting rank
-    data = 2,   ///< one envelope
-    abort = 3,  ///< sender's world is poisoned; poison yours
-    fin = 4,    ///< orderly end-of-stream: sender will write nothing more
-  };
-
-  struct wire_header {
-    std::uint32_t kind = 0;
-    std::uint32_t payload_len = 0;
-    std::int32_t src = 0;
-    std::int32_t tag = 0;
-    std::uint64_t ctx = 0;
-  };
-  static_assert(sizeof(wire_header) == 24, "framed header layout is the ABI");
-
   /// One queued outbound frame: unsent header bytes + payload, with a
   /// cursor over the concatenation.
   struct out_msg {
@@ -125,18 +85,15 @@ class endpoint final : public transport::endpoint {
     std::size_t payload_got = 0;
   };
 
-  class peer_channel final : public transport::channel {
-   public:
-    peer_channel() = default;
-    peer_channel(endpoint* ep, int dest) : ep_(ep), dest_(dest) {}
-    void post(envelope&& e) override { ep_->post_to_peer(dest_, std::move(e)); }
-
-   private:
-    endpoint* ep_ = nullptr;
-    int dest_ = 0;
-  };
-
-  void post_to_peer(int dest, envelope&& e);
+  void send(int dest, envelope&& e) override;
+  /// One nonblocking progress() pass; true if any wire bytes moved.
+  bool pump() override;
+  /// progress() with a short poll timeout (1 ms while a chaos-delayed
+  /// match ages, else 10 ms).
+  void wait(const mail_slot::miss& m) override;
+  /// True when no peer can ever deliver another message (all fin/EOF and
+  /// nothing mid-reassembly).
+  bool peers_silent() const override;
 
   /// Pump the wire: flush outbound queues, read inbound frames into the
   /// slot. Waits up to timeout_ms for activity when nothing is immediately
@@ -152,28 +109,11 @@ class endpoint final : public transport::endpoint {
   /// Enqueue a control frame (hello/abort/fin) to one peer.
   void enqueue_control(peer_state& p, frame_kind k);
 
-  void handshake(const std::string& dir, const chaos_config* chaos);
-  void fail_peer(peer_state& p, const char* why);
+  void handshake(const std::string& dir);
+  void fail_peer(peer_state& p);
 
-  /// True when no peer can ever deliver another message (all fin/EOF and
-  /// nothing mid-reassembly) — a blocked receive is then a deadlock, not a
-  /// wait.
-  bool all_peers_silent() const;
-
-  int rank_ = 0;
-  int nranks_ = 1;
-  /// Serializes all wire-touching state (peers_, pollfds_, counters)
-  /// between the owning rank thread and the progress engine. Blocking
-  /// operations lock per pump iteration (with short poll timeouts) so the
-  /// engine's posts are never starved for long; the engine itself only ever
-  /// try-locks (progress_hook). mail_slot stays internally synchronized as
-  /// before.
-  std::mutex io_mtx_;
-  mail_slot slot_;
   std::vector<peer_state> peers_;      // indexed by world rank; self unused
-  std::vector<peer_channel> channels_;
   std::vector<pollfd> pollfds_;  // scratch, rebuilt per progress()
-  double epoch_wtime_ = 0;              // CLOCK_MONOTONIC seconds at setup
   bool aborted_ = false;
   // wire-level counters, published with the endpoint stats at teardown
   std::uint64_t wire_tx_bytes_ = 0;

@@ -3,9 +3,10 @@
 // The transport layer carries the MPI-flavoured subset of semantics the
 // layers above (mpisim, core) rely on: framed packets with eager buffered
 // point-to-point delivery, per-(source, destination, context) non-overtaking
-// order, tag matching with wildcards, and probing. Two backends implement
-// the contract today — the in-process threaded simulator (transport/inproc/)
-// and the multi-process Unix-domain-socket backend (transport/socket/); see
+// order, tag matching with wildcards, and probing. Three backends implement
+// the contract today — the in-process threaded simulator (transport/inproc/),
+// the multi-process Unix-domain-socket backend (transport/socket/) and the
+// multi-process shared-memory backend (transport/shm/); see
 // docs/TRANSPORT.md for the contract and the backend matrix.
 #pragma once
 

@@ -1,11 +1,12 @@
-// Fuzz and hostile-input tests: the serialization archives and the packet
-// reader must reject malformed bytes with ygm::error — never crash, hang,
-// or read out of bounds — and the mailbox must survive degenerate message
-// shapes (empty payloads, messages far larger than the coalescing
-// capacity).
+// Fuzz and hostile-input tests: the serialization archives, the packet
+// reader and the transport frame-header check must reject malformed bytes
+// with ygm::error — never crash, hang, or read out of bounds — and the
+// mailbox must survive degenerate message shapes (empty payloads, messages
+// far larger than the coalescing capacity).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "common/rng.hpp"
 #include "core/packet.hpp"
 #include "core/ygm.hpp"
+#include "transport/shm/shm_transport.hpp"
+#include "transport/wire.hpp"
 
 namespace {
 
@@ -115,6 +118,74 @@ TEST(PacketFuzz, WellFormedPacketsAlwaysRoundTrip) {
     }
     EXPECT_EQ(i, expected.size());
   }
+}
+
+// -------------------------------------------------------- frame headers
+
+// Random headers against both backends' rules. Whatever check_frame
+// accepts is then used the way a pump uses it — a data frame's payload is
+// copied out of a buffer holding exactly the readable bytes — so an
+// accepted-but-bad header is an out-of-bounds read (ASan) or a failed
+// expectation, and a rejection must name the peer.
+TEST(FrameFuzz, HeadersAreCheckedBeforeUse) {
+  namespace tp = ygm::transport;
+  const tp::frame_rules socket_rules{kind_bit(tp::frame_kind::data) |
+                                     kind_bit(tp::frame_kind::abort) |
+                                     kind_bit(tp::frame_kind::fin)};
+  const tp::frame_rules shm_rules{kind_bit(tp::frame_kind::data) |
+                                      kind_bit(tp::frame_kind::spill),
+                                  tp::shm::inline_payload_max};
+  ygm::xoshiro256 rng(99);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    tp::wire_header h{};
+    std::uint64_t raw[3] = {rng(), rng(), rng()};
+    std::memcpy(&h, raw, sizeof(h));
+    // Bias toward the interesting region: small kinds, lengths near the
+    // inline limit and near the readable bytes.
+    if (rng.below(4) != 0) h.kind = static_cast<std::uint32_t>(rng.below(8));
+    if (rng.below(4) != 0) {
+      h.payload_len = static_cast<std::uint32_t>(
+          rng.below(2 * tp::shm::inline_payload_max + 64));
+    }
+    if (rng.below(8) == 0) h.payload_len = 0;
+    const bool shm = (iter & 1) != 0;
+    const auto& rules = shm ? shm_rules : socket_rules;
+    const std::size_t readable =
+        shm ? sizeof(tp::wire_header) +
+                  rng.below(tp::shm::inline_payload_max + 64)
+            : SIZE_MAX;
+    const int peer = static_cast<int>(rng.below(64));
+    try {
+      tp::check_frame(h, rules, peer, readable);
+    } catch (const ygm::error& e) {
+      ++rejected;
+      EXPECT_NE(std::string(e.what()).find("rank " + std::to_string(peer)),
+                std::string::npos)
+          << e.what();
+      continue;
+    }
+    ++accepted;
+    ASSERT_LT(h.kind, 32u);
+    ASSERT_NE(rules.kinds & (1u << h.kind), 0u) << "kind " << h.kind;
+    const auto kind = static_cast<tp::frame_kind>(h.kind);
+    if (kind == tp::frame_kind::abort || kind == tp::frame_kind::fin) {
+      EXPECT_EQ(h.payload_len, 0u);
+    }
+    if (kind == tp::frame_kind::spill) {
+      EXPECT_GT(h.payload_len, rules.inline_max);
+    }
+    if (kind == tp::frame_kind::data && shm) {
+      ASSERT_LE(h.payload_len, rules.inline_max);
+      std::vector<std::byte> ring(readable);
+      std::vector<std::byte> payload(h.payload_len);
+      std::memcpy(payload.data(), ring.data() + sizeof(tp::wire_header),
+                  payload.size());
+    }
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 // --------------------------------------------------- degenerate messages

@@ -2,8 +2,8 @@
 // transport suite cannot isolate: the SPSC byte ring (wrap-around copies,
 // full-ring backpressure, the torn-size publication guard — exercised with
 // real producer/consumer threads so TSan sees the release/acquire
-// protocol), and the launcher's orphaned-segment sweep (a rank that dies
-// before its endpoint destructor must not leak /dev/shm space).
+// protocol), and the fork launcher's orphaned-segment sweep (a rank that
+// dies before its endpoint destructor must not leak /dev/shm space).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -21,7 +21,6 @@
 
 #include "common/assert.hpp"
 #include "core/launch.hpp"
-#include "transport/shm/launch.hpp"
 #include "transport/shm/shm_transport.hpp"
 #include "transport/shm/spsc_ring.hpp"
 
