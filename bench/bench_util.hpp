@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "net/evaluator.hpp"
 #include "net/params.hpp"
 #include "routing/router.hpp"
@@ -283,20 +284,22 @@ class telemetry_guard {
     const double sample = flag_double(argc, argv, "trace-sample", -1);
     const std::string postmortem = flag_str(argc, argv, "postmortem-out");
     const double stall_ms = flag_double(argc, argv, "stall-timeout-ms", -1);
-    if (sample >= 0) telemetry::causal::set_sample_rate(sample);
+    if (sample >= 0) knob::set(knob::id::trace_sample, {.real = sample});
     if (!postmortem.empty()) {
-      telemetry::causal::set_postmortem_path(postmortem);
+      knob::set(knob::id::postmortem_out, {.text = postmortem});
     }
-    if (stall_ms >= 0) telemetry::causal::set_stall_timeout_ms(stall_ms);
-    if (!postmortem.empty() && telemetry::causal::stall_timeout_ms() <= 0) {
-      telemetry::causal::set_stall_timeout_ms(10000);
+    if (stall_ms >= 0) {
+      knob::set(knob::id::stall_timeout_ms, {.real = stall_ms});
     }
-    const char* env = std::getenv("YGM_TELEMETRY");
-    if (env != nullptr && env[0] != '\0' && env[0] != '0') summary_ = true;
+    if (!postmortem.empty() &&
+        knob::get(knob::id::stall_timeout_ms).real <= 0) {
+      knob::set(knob::id::stall_timeout_ms, {.real = 10000});
+    }
+    if (knob::get(knob::id::telemetry).num != 0) summary_ = true;
     // Causal tracing and the watchdog both need per-rank lanes, so either
     // knob forces a session even without an export destination.
     const bool lanes_needed = sample > 0 || !postmortem.empty() ||
-                              telemetry::causal::stall_timeout_ms() > 0;
+                              knob::get(knob::id::stall_timeout_ms).real > 0;
     if (trace_out_.empty() && metrics_out_.empty() && !summary_ &&
         !lanes_needed) {
       return;
@@ -357,11 +360,7 @@ class telemetry_guard {
 /// Set YGM_BENCH_CSV=1 to make every bench table print machine-readable
 /// CSV instead of the aligned text layout (for plotting scripts).
 inline bool csv_mode() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("YGM_BENCH_CSV");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return enabled;
+  return knob::get(knob::id::bench_csv).num != 0;
 }
 
 /// Minimal fixed-width table printer (plain text, one row per line).

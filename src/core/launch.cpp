@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "telemetry/causal.hpp"
+#include "common/knobs.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/inproc/fabric.hpp"
@@ -20,44 +20,23 @@ namespace {
 
 using rank_fn = std::function<std::vector<std::byte>(mpisim::comm&)>;
 
-// Launch-scoped process globals. Set on the driver thread before rank
-// threads spawn (inproc) or children fork (socket, shm) and restored after
-// the run — every backend therefore sees a stable value for the whole run
-// without synchronization.
-std::optional<net::network_params> g_launch_vnet;
-std::optional<std::size_t> g_launch_credit_bytes;
-
-struct scoped_run_defaults {
-  explicit scoped_run_defaults(const run_options& opts)
-      : prev_sample_(telemetry::causal::sample_rate()),
-        prev_outq_cap_(transport::outq_cap_bytes()),
-        prev_sample_ms_(telemetry::live::sample_ms_override()),
-        prev_statusz_(telemetry::live::statusz_override()) {
-    if (opts.virtual_network) g_launch_vnet = *opts.virtual_network;
-    if (opts.trace_sample) {
-      YGM_CHECK(*opts.trace_sample >= 0.0 && *opts.trace_sample <= 1.0,
-                "run_options::trace_sample must be in [0, 1]");
-      telemetry::causal::set_sample_rate(*opts.trace_sample);
-    }
-    if (opts.credit_bytes) g_launch_credit_bytes = *opts.credit_bytes;
-    if (opts.outq_cap_bytes) transport::set_outq_cap_bytes(*opts.outq_cap_bytes);
-    if (opts.sample_ms >= 0) telemetry::live::set_sample_ms_override(opts.sample_ms);
-    if (opts.statusz >= 0) telemetry::live::set_statusz_override(opts.statusz);
+/// Lay the run's options over the knob table (inside the launch's
+/// knob::run_scope, which restores the table after the run).
+void lay_options(const run_options& o) {
+  using knob::id;
+  const auto n = [](auto v) { return knob::value{.num = std::uint64_t(v)}; };
+  if (o.backend) knob::set(id::backend, n(*o.backend));
+  if (o.progress_mode) knob::set(id::progress_mode, n(*o.progress_mode));
+  if (o.chaos) {
+    knob::set(id::chaos,
+              {.text = o.chaos->enabled() ? o.chaos->describe() : "off"});
   }
-  ~scoped_run_defaults() {
-    g_launch_vnet.reset();
-    g_launch_credit_bytes.reset();
-    telemetry::causal::set_sample_rate(prev_sample_);
-    transport::set_outq_cap_bytes(prev_outq_cap_);
-    telemetry::live::set_sample_ms_override(prev_sample_ms_);
-    telemetry::live::set_statusz_override(prev_statusz_);
-  }
-
-  double prev_sample_;
-  std::size_t prev_outq_cap_;
-  int prev_sample_ms_;
-  int prev_statusz_;
-};
+  if (o.trace_sample) knob::set(id::trace_sample, {.real = *o.trace_sample});
+  if (o.credit_bytes) knob::set(id::credit_bytes, n(*o.credit_bytes));
+  if (o.outq_cap_bytes) knob::set(id::outq_cap_bytes, n(*o.outq_cap_bytes));
+  if (o.sample_ms >= 0) knob::set(id::sample_ms, n(o.sample_ms));
+  if (o.statusz >= 0) knob::set(id::statusz, n(o.statusz != 0));
+}
 
 /// The machinery every OS process hosting rank bodies runs beside them: the
 /// progress engine (engine mode only), then the live telemetry services.
@@ -66,9 +45,8 @@ struct scoped_run_defaults {
 /// before its engine driver does.
 class process_runtime {
  public:
-  process_runtime(const std::optional<progress::engine::options>& engine,
-                  int telemetry_world) {
-    if (engine) engine_.emplace(*engine, telemetry_world);
+  process_runtime(bool engine, int telemetry_world) {
+    if (engine) engine_.emplace(telemetry_world);
     live_ = telemetry::live::start_services();
   }
 
@@ -85,8 +63,7 @@ std::shared_ptr<const std::vector<int>> world_members(int nranks) {
 
 std::vector<std::vector<std::byte>> run_inproc(
     int nranks, const std::optional<transport::chaos_config>& chaos,
-    const std::optional<progress::engine::options>& engine,
-    const rank_fn& fn) {
+    bool engine, const rank_fn& fn) {
   transport::inproc::fabric fab(nranks);
   if (chaos && chaos->enabled()) fab.set_chaos(*chaos);
 
@@ -141,19 +118,18 @@ std::vector<std::vector<std::byte>> run_inproc(
 std::vector<std::vector<std::byte>> launch_collect(const run_options& opts,
                                                    const rank_fn& fn) {
   YGM_CHECK(opts.nranks > 0, "launch() requires a positive rank count");
-  const scoped_run_defaults defaults(opts);
+  const knob::run_scope run_knobs;
+  lay_options(opts);
 
   // Environment-driven chaos lets the whole suite be rerun under fault
   // injection without touching a single call site; an explicit config wins
   // over the environment.
+  const knob::table& k = knob::current();
   const std::optional<transport::chaos_config> chaos =
-      opts.chaos ? opts.chaos : transport::chaos_config::from_env();
-  const transport::backend_kind backend =
-      opts.backend ? *opts.backend : transport::backend_from_env();
-  const progress::mode pmode =
-      opts.progress_mode ? *opts.progress_mode : progress::mode_from_env();
-  std::optional<progress::engine::options> engine;
-  if (pmode == progress::mode::engine) engine = opts.engine;
+      opts.chaos ? opts.chaos : transport::chaos_config::from_knobs(k);
+  const auto backend = transport::backend_kind(k[knob::id::backend].num);
+  const bool engine = progress::mode(k[knob::id::progress_mode].num) ==
+                      progress::mode::engine;
 
   if (backend == transport::backend_kind::inproc) {
     return run_inproc(opts.nranks, chaos, engine, fn);
@@ -182,15 +158,4 @@ void launch(const run_options& opts,
   });
 }
 
-namespace detail {
-
-const std::optional<net::network_params>& launch_virtual_network() noexcept {
-  return g_launch_vnet;
-}
-
-const std::optional<std::size_t>& launch_credit_bytes() noexcept {
-  return g_launch_credit_bytes;
-}
-
-}  // namespace detail
 }  // namespace ygm

@@ -12,25 +12,9 @@
 //   o.progress_mode = ygm::progress::mode::engine;
 //   ygm::launch(o, [](ygm::mpisim::comm& c) { ... });
 //
-// Configuration precedence — THE one place it is defined (docs/PROGRESS.md
-// reproduces this table):
+// Precedence, for every knob (docs/KNOBS.md lists them all):
 //
 //   explicit run_options field  >  YGM_* environment variable  >  default
-//
-//   field            env                 default
-//   ---------------  ------------------  -----------------------------
-//   backend          YGM_TRANSPORT       inproc
-//   chaos            YGM_CHAOS*          off
-//   progress_mode    YGM_PROGRESS        polling
-//   trace_sample     YGM_TRACE_SAMPLE    0 (tracing off)
-//   virtual_network  (none)              untimed
-//   credit_bytes     YGM_CREDIT_BYTES    1 MiB per destination (0 = off)
-//   outq_cap_bytes   YGM_OUTQ_CAP_BYTES  4 MiB per channel (0 = off)
-//   sample_ms        YGM_SAMPLE_MS       100 ms live sampler (0 = off)
-//   statusz          YGM_STATUSZ         off (per-process UDS endpoint)
-//
-// (YGM_STALL_TIMEOUT_MS keeps its env-only path — it is a debugging
-// deadman, not a run parameter.)
 //
 // launch() owns the rank runtime: it builds the world communicator for each
 // rank and, in every OS process hosting rank bodies — the driver process
@@ -49,69 +33,44 @@
 #include "core/progress.hpp"
 #include "mpisim/chaos.hpp"
 #include "mpisim/comm.hpp"
-#include "net/params.hpp"
 #include "transport/endpoint.hpp"
 
 namespace ygm {
 
-/// Everything a run can be configured with. Default-constructed options run
-/// inproc unless YGM_TRANSPORT says otherwise, chaos from YGM_CHAOS*,
-/// polling progress unless YGM_PROGRESS says otherwise, trace sampling from
-/// YGM_TRACE_SAMPLE, untimed. Every field has a default member initializer,
-/// so a designated initializer may name any subset:
+/// Everything a run can be configured with. Each field but nranks and
+/// socket_dir is a knob: left unset (nullopt, or -1) it defers to the
+/// variable named beside it. A designated initializer may name any subset:
 /// `ygm::launch({.nranks = 4, .chaos = cfg}, fn)`.
 struct run_options {
   int nranks = 1;
-
-  /// Transport backend; nullopt defers to YGM_TRANSPORT (default inproc).
-  std::optional<transport::backend_kind> backend{};
-
-  /// Fault injection; nullopt defers to YGM_CHAOS* (docs/CHAOS.md).
-  std::optional<mpisim::chaos_config> chaos{};
+  std::optional<transport::backend_kind> backend{};  ///< YGM_TRANSPORT
+  std::optional<mpisim::chaos_config> chaos{};       ///< YGM_CHAOS*
 
   /// Process-per-rank backends (socket, shm) only: rendezvous directory
   /// ("" = fresh mkdtemp under $TMPDIR, removed after the run). The shm
   /// backend also derives its segment names from the directory's basename.
   std::string socket_dir{};
 
-  /// Progress mode; nullopt defers to YGM_PROGRESS (default polling).
-  /// `engine` starts one progress thread per OS process hosting ranks.
+  /// YGM_PROGRESS. `engine` starts one progress thread per OS process
+  /// hosting ranks.
   std::optional<progress::mode> progress_mode{};
+  std::optional<double> trace_sample{};  ///< YGM_TRACE_SAMPLE, in [0, 1]
 
-  /// Engine tuning (spin/sleep/ring sizing); only read in engine mode.
-  progress::engine::options engine{};
-
-  /// Causal-trace sample rate in [0, 1]; nullopt defers to YGM_TRACE_SAMPLE
-  /// (default 0). Applied for the duration of the run, restored after.
-  std::optional<double> trace_sample{};
-
-  /// Conservative virtual-time network model, attached to every comm_world
-  /// constructed during the run (identically on all ranks, which is exactly
-  /// the attach_virtual_network contract). Timed worlds never receive
-  /// engine help — the virtual clock is rank-thread state.
-  std::optional<net::network_params> virtual_network{};
-
-  /// Per-destination mailbox credit budget in bytes (flow control,
-  /// docs/BACKPRESSURE.md); nullopt defers to YGM_CREDIT_BYTES (default
-  /// 1 MiB). 0 disables credit gating. Mailboxes clamp the effective budget
+  /// YGM_CREDIT_BYTES: per-destination mailbox credit budget
+  /// (docs/BACKPRESSURE.md; 0 = off). Mailboxes clamp the effective budget
   /// to at least twice their flush capacity so acks stay live.
   std::optional<std::size_t> credit_bytes{};
-
-  /// Channel-level outbound byte cap enforced by the transport backends
-  /// beneath the credit budget; nullopt defers to YGM_OUTQ_CAP_BYTES
-  /// (default 4 MiB). 0 disables the cap.
+  /// YGM_OUTQ_CAP_BYTES: the transport's outbound byte cap per channel,
+  /// beneath the credit budget (0 = off).
   std::optional<std::size_t> outq_cap_bytes{};
 
-  /// Live-telemetry sampling period in milliseconds (docs/TELEMETRY.md
-  /// §Live telemetry); -1 defers to YGM_SAMPLE_MS (default 100). 0 turns
-  /// the time-series sampler off. With the progress engine on, sampling
-  /// rides the engine thread; otherwise a dedicated low-rate thread runs
-  /// per OS process hosting ranks.
+  /// YGM_SAMPLE_MS: live-telemetry sampling period (0 = sampler off). With
+  /// the progress engine on, sampling rides the engine thread; otherwise a
+  /// dedicated low-rate thread runs per OS process hosting ranks.
   int sample_ms = -1;
-
-  /// Per-process introspection endpoint (a Unix-domain socket answering
-  /// metrics/series/latency/health as JSON, see tools/ygm_top); -1 defers
-  /// to YGM_STATUSZ (default off), 0 forces off, 1 forces on.
+  /// YGM_STATUSZ: per-process introspection endpoint (a Unix-domain socket
+  /// answering metrics/series/latency/health as JSON, see tools/ygm_top);
+  /// 0 off, 1 on.
   int statusz = -1;
 };
 
@@ -134,19 +93,4 @@ std::vector<std::vector<std::byte>> launch_collect(
     const run_options& opts,
     const std::function<std::vector<std::byte>(mpisim::comm&)>& fn);
 
-namespace detail {
-
-/// The launch-scoped default virtual network (nullopt outside a launch with
-/// run_options::virtual_network set). comm_world's constructor consults
-/// this so every world built during a timed launch is timed. Set before
-/// rank threads spawn / children fork; read-only during the run.
-const std::optional<net::network_params>& launch_virtual_network() noexcept;
-
-/// The launch-scoped credit-budget override (nullopt outside a launch with
-/// run_options::credit_bytes set). comm_world's constructor consults this,
-/// then YGM_CREDIT_BYTES, then the 1 MiB default. Same set-before-spawn /
-/// fork-inheritance discipline as launch_virtual_network.
-const std::optional<std::size_t>& launch_credit_bytes() noexcept;
-
-}  // namespace detail
 }  // namespace ygm

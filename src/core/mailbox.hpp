@@ -116,7 +116,7 @@ class mailbox {
     if (engine_mode_) {
       deferred_ =
           std::make_unique<progress::mpsc_ring<std::vector<std::byte>>>(
-              station_->attached_engine()->opts().ring_slots);
+              progress::engine_options{}.ring_slots);
       pump_->engine_advance = [this](bool inline_deliveries) {
         return engine_advance(inline_deliveries);
       };

@@ -1,40 +1,11 @@
 #include "core/progress.hpp"
 
-#include <cstdlib>
-
 #include "core/comm_world.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/endpoint.hpp"
 
 namespace ygm::progress {
-
-// ------------------------------------------------------------------- mode
-
-std::string_view to_string(mode m) noexcept {
-  switch (m) {
-    case mode::polling:
-      return "polling";
-    case mode::engine:
-      return "engine";
-  }
-  return "?";
-}
-
-std::optional<mode> mode_from_name(std::string_view name) noexcept {
-  if (name == "polling") return mode::polling;
-  if (name == "engine") return mode::engine;
-  return std::nullopt;
-}
-
-mode mode_from_env() {
-  const char* env = std::getenv("YGM_PROGRESS");
-  if (env == nullptr || *env == '\0') return mode::polling;
-  const auto m = mode_from_name(env);
-  YGM_CHECK(m.has_value(), std::string("unknown YGM_PROGRESS mode: ") + env +
-                               " (expected polling|engine)");
-  return *m;
-}
 
 // ---------------------------------------------------------------- station
 
@@ -150,8 +121,7 @@ bool station::service() {
 
 // ----------------------------------------------------------------- engine
 
-engine::engine(options opts, int telemetry_world)
-    : opts_(opts), telemetry_world_(telemetry_world) {
+engine::engine(int telemetry_world) : telemetry_world_(telemetry_world) {
   // Advertise as the live-telemetry driver before start_services can
   // run (launch creates the engine first), so the sampler rides this
   // thread's passes instead of starting its own.
@@ -256,8 +226,8 @@ void engine::loop() {
 
     if (did_work) {
       idle_passes = 0;
-    } else if (++idle_passes >= opts_.spin_passes) {
-      std::this_thread::sleep_for(opts_.idle_sleep);
+    } else if (++idle_passes >= engine_options{}.spin_passes) {
+      std::this_thread::sleep_for(engine_options{}.idle_sleep);
     }
   }
 
@@ -272,8 +242,8 @@ engine* g_engine = nullptr;
 
 engine* current() noexcept { return g_engine; }
 
-engine_scope::engine_scope(engine::options opts, int telemetry_world)
-    : eng_(std::make_unique<engine>(opts, telemetry_world)) {
+engine_scope::engine_scope(int telemetry_world)
+    : eng_(std::make_unique<engine>(telemetry_world)) {
   YGM_CHECK(g_engine == nullptr,
             "a progress engine is already installed in this process");
   g_engine = eng_.get();

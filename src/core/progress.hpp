@@ -50,10 +50,8 @@
 // delays, iprobe false negatives, and stalls hit engine-stolen progress
 // exactly as they hit polled progress.
 //
-// Configuration precedence (documented once, here and in docs/PROGRESS.md):
-// explicit ygm::run_options field > YGM_* environment variable > default.
-// For the progress mode that is run_options::progress_mode > YGM_PROGRESS >
-// polling.
+// The progress mode is a knob (docs/KNOBS.md): run_options::progress_mode >
+// YGM_PROGRESS > polling.
 #pragma once
 
 #include <atomic>
@@ -69,6 +67,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/knobs.hpp"
 
 namespace ygm::transport {
 class endpoint;
@@ -84,20 +83,27 @@ namespace ygm::progress {
 
 // ------------------------------------------------------------------- mode
 
+/// In the order of the knob table's YGM_PROGRESS choices.
 enum class mode {
   polling,  ///< historical behaviour: progress only when a rank polls
   engine,   ///< dedicated progress thread steals from guarded/parked ranks
 };
 
-std::string_view to_string(mode m) noexcept;
+inline std::string_view to_string(mode m) noexcept {
+  return knob::spec_of(knob::id::progress_mode).choices[std::size_t(m)];
+}
 
 /// Parse a mode name ("polling" | "engine"); nullopt on anything else.
-std::optional<mode> mode_from_name(std::string_view name) noexcept;
+inline std::optional<mode> mode_from_name(std::string_view name) noexcept {
+  const auto i = knob::choice_index(knob::id::progress_mode, name);
+  return i ? std::optional(mode(*i)) : std::nullopt;
+}
 
-/// The mode named by YGM_PROGRESS, defaulting to polling when unset or
-/// empty. Throws ygm::error on an unknown name (a typo silently falling
-/// back to polling would fake engine coverage).
-mode mode_from_env();
+/// The mode YGM_PROGRESS names (polling when unset). Throws ygm::error on
+/// an unknown name: a silent fallback would fake engine coverage.
+inline mode mode_from_env() {
+  return mode(knob::from_env()[knob::id::progress_mode].num);
+}
 
 // -------------------------------------------------------------- mpsc_ring
 
@@ -233,8 +239,6 @@ class station {
   station(const station&) = delete;
   station& operator=(const station&) = delete;
 
-  /// The engine this station is registered with (nullptr in polling mode).
-  engine* attached_engine() const noexcept { return engine_; }
   bool engine_attached() const noexcept { return engine_ != nullptr; }
 
   // ----------------------------------------------------------- rank side
@@ -291,11 +295,7 @@ class station {
 
 // ----------------------------------------------------------------- engine
 
-/// Engine tuning knobs. Lives at namespace scope (not nested in `engine`)
-/// so it is a complete type with parsed member initializers wherever the
-/// engine constructors spell `= {}` default arguments — GCC defers nested
-/// classes' member initializers until the enclosing class is complete,
-/// which would reject that spelling for a nested aggregate.
+/// The engine's fixed tuning, named so reports can print it.
 struct engine_options {
   /// Idle passes before the engine starts sleeping between passes.
   int spin_passes = 16;
@@ -324,13 +324,11 @@ class engine {
   /// -1 when the lane would not survive (socket children ship exactly one
   /// lane per rank) — engine counters then fold into the stopping thread's
   /// lane instead.
-  explicit engine(options opts = {}, int telemetry_world = -1);
+  explicit engine(int telemetry_world = -1);
   ~engine();
 
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
-
-  const options& opts() const noexcept { return opts_; }
 
   /// Register a station (thread-safe; lock-free handoff to the engine
   /// loop). The engine holds a reference until the station shuts down.
@@ -355,7 +353,6 @@ class engine {
   void loop();
   void publish_counters();
 
-  options opts_;
   int telemetry_world_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> paused_{false};
@@ -382,7 +379,7 @@ engine* current() noexcept;
 /// shm — an engine thread would not survive fork).
 class engine_scope {
  public:
-  explicit engine_scope(engine::options opts = {}, int telemetry_world = -1);
+  explicit engine_scope(int telemetry_world = -1);
   ~engine_scope();
 
   engine_scope(const engine_scope&) = delete;

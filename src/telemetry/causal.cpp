@@ -3,12 +3,11 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 
 #include "common/assert.hpp"
+#include "common/knobs.hpp"
 #include "telemetry/journey.hpp"
 #include "telemetry/json_util.hpp"
 
@@ -42,19 +41,6 @@ wire_ctx decode_wire(std::span<const std::byte> in) {
 
 namespace {
 
-std::atomic<std::uint64_t> g_threshold{0};
-std::atomic<double> g_rate{0.0};
-
-/// Map a rate in [0, 1] to the hash threshold (sampled iff hash < t, with
-/// ~0 meaning "all"). 32-bit resolution is plenty for a sampling knob.
-std::uint64_t threshold_for(double rate) {
-  if (!(rate > 0.0)) return 0;
-  if (rate >= 1.0) return ~std::uint64_t{0};
-  auto t = static_cast<std::uint64_t>(rate * 4294967296.0) << 32;
-  if (t == 0) t = 1;  // a positive rate must be able to sample something
-  return t;
-}
-
 std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -62,18 +48,6 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return end == v ? fallback : parsed;
-}
-
-// Watchdog configuration (process-global; see header).
-std::atomic<double> g_stall_timeout_ms{0.0};
-std::mutex g_postmortem_path_mtx;
-std::string g_postmortem_path = "ygm_postmortem.json";  // NOLINT
 // Two separate process-global flags: `fired` is the sticky "a postmortem
 // was written since the last reset" answer tests and drivers query; `held`
 // is the dedup latch one watchdog holds while its stall episode is live,
@@ -82,37 +56,9 @@ std::string g_postmortem_path = "ygm_postmortem.json";  // NOLINT
 std::atomic<bool> g_postmortem_fired{false};
 std::atomic<bool> g_postmortem_held{false};
 
-/// Environment knobs are read once at static initialization (before main,
-/// so set_* calls made by drivers always win over the environment).
-struct env_init {
-  env_init() {
-    const double rate = env_double("YGM_TRACE_SAMPLE", 0.0);
-    g_rate.store(rate < 0 ? 0.0 : (rate > 1 ? 1.0 : rate));
-    g_threshold.store(threshold_for(g_rate.load()));
-    g_stall_timeout_ms.store(env_double("YGM_STALL_TIMEOUT_MS", 0.0));
-    if (const char* p = std::getenv("YGM_POSTMORTEM_OUT");
-        p != nullptr && *p != '\0') {
-      g_postmortem_path = p;
-    }
-  }
-} g_env_init;
-
 }  // namespace
 
-double sample_rate() { return g_rate.load(std::memory_order_relaxed); }
-
-void set_sample_rate(double rate) {
-  if (rate < 0) rate = 0;
-  if (rate > 1) rate = 1;
-  g_rate.store(rate, std::memory_order_relaxed);
-  g_threshold.store(threshold_for(rate), std::memory_order_relaxed);
-}
-
 namespace detail {
-
-std::uint64_t sample_threshold() noexcept {
-  return g_threshold.load(std::memory_order_relaxed);
-}
 
 std::uint64_t journey_hash(int origin, std::uint32_t seq,
                            std::uint32_t salt) noexcept {
@@ -200,24 +146,6 @@ void record_credit_stall(int dest, double start_us,
 
 // ----------------------------------------------------------- stall watchdog
 
-double stall_timeout_ms() {
-  return g_stall_timeout_ms.load(std::memory_order_relaxed);
-}
-
-void set_stall_timeout_ms(double ms) {
-  g_stall_timeout_ms.store(ms < 0 ? 0 : ms, std::memory_order_relaxed);
-}
-
-std::string postmortem_path() {
-  std::lock_guard lock(g_postmortem_path_mtx);
-  return g_postmortem_path;
-}
-
-void set_postmortem_path(std::string path) {
-  std::lock_guard lock(g_postmortem_path_mtx);
-  g_postmortem_path = std::move(path);
-}
-
 void reset_postmortem_latch() noexcept {
   g_postmortem_fired.store(false);
   g_postmortem_held.store(false);
@@ -225,7 +153,8 @@ void reset_postmortem_latch() noexcept {
 
 bool postmortem_fired() noexcept { return g_postmortem_fired.load(); }
 
-stall_watchdog::stall_watchdog() noexcept : timeout_ms_(stall_timeout_ms()) {}
+stall_watchdog::stall_watchdog()
+    : timeout_ms_(knob::get(knob::id::stall_timeout_ms).real) {}
 
 stall_watchdog::~stall_watchdog() {
   // The wait completed (successful drain). If this watchdog consumed the
@@ -263,7 +192,7 @@ void stall_watchdog::poll_slow(const stall_report& r) noexcept {
   if (g_postmortem_held.exchange(true)) return;  // another rank dumped first
   dumped_ = true;
   g_postmortem_fired.store(true);
-  dump_postmortem(r, stalled_ms, postmortem_path());
+  dump_postmortem(r, stalled_ms, knob::get(knob::id::postmortem_out).text);
 }
 
 namespace {
@@ -280,7 +209,8 @@ void write_postmortem_json(std::ostream& os, const stall_report& r,
   os << "  \"credit\": {\"budget_bytes\": " << r.credit_budget
      << ", \"in_flight_bytes\": " << r.credit_in_flight
      << ", \"stalls\": " << r.credit_stalls << "},\n";
-  os << "  \"sample_rate\": " << json_number(sample_rate()) << ",\n";
+  os << "  \"sample_rate\": "
+     << json_number(knob::get(knob::id::trace_sample).real) << ",\n";
 
   // Per-lane ring tails: the most recent window of each rank's timeline,
   // names resolved (the ring itself stores interned ids).

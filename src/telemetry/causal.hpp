@@ -51,6 +51,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ygm::telemetry::causal {
@@ -81,15 +82,13 @@ wire_ctx decode_wire(std::span<const std::byte> in);
 
 // ----------------------------------------------------------------- sampling
 
-/// Current sample rate in [0, 1]. Initialized once from YGM_TRACE_SAMPLE
-/// (e.g. YGM_TRACE_SAMPLE=0.01); set_sample_rate overrides at runtime.
-double sample_rate();
-void set_sample_rate(double rate);
-
 namespace detail {
 /// Sampling threshold: a message is sampled iff hash <= threshold - 1.
-/// 0 means sampling is off. Declared here so the hot-path check inlines.
-std::uint64_t sample_threshold() noexcept;
+/// 0 means sampling is off. One load of trace_sample's threshold; the
+/// mailbox's world resolved the knob table when it was built.
+inline std::uint64_t sample_threshold() noexcept {
+  return knob::num_unchecked(knob::id::trace_sample);
+}
 /// splitmix64-based decision hash of (origin, seq, salt).
 std::uint64_t journey_hash(int origin, std::uint32_t seq,
                            std::uint32_t salt) noexcept;
@@ -183,16 +182,6 @@ void record_credit_stall(int dest, double start_us,
 
 // ----------------------------------------------------------- stall watchdog
 
-/// Stall window in milliseconds; 0 disables the watchdog (the default).
-/// Initialized once from YGM_STALL_TIMEOUT_MS.
-double stall_timeout_ms();
-void set_stall_timeout_ms(double ms);
-
-/// Postmortem JSON output path (default "ygm_postmortem.json"; initialized
-/// from YGM_POSTMORTEM_OUT).
-std::string postmortem_path();
-void set_postmortem_path(std::string path);
-
 /// The postmortem fires at most once per *stall episode* (the first stalled
 /// rank wins; a wedged detector stalls every rank at once and one dump is
 /// worth more than eight interleaved ones). The dedup latch re-arms when
@@ -225,7 +214,7 @@ struct stall_report {
 /// branch per poll when disabled.
 class stall_watchdog {
  public:
-  stall_watchdog() noexcept;
+  stall_watchdog();
   ~stall_watchdog();
 
   stall_watchdog(const stall_watchdog&) = delete;

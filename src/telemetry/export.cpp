@@ -45,6 +45,22 @@ void write_event_args(std::ostream& os, const trace_event& e,
   os << '}';
 }
 
+void write_config_json(std::ostream& os, const knob::table& t) {
+  os << ",\n  \"config\": {";
+  for (std::size_t i = 0; i < knob::kCount; ++i) {
+    const knob::spec& s = knob::spec_of(knob::id(i));
+    const knob::value& v = t[knob::id(i)];
+    const std::string text = knob::render(knob::id(i), v);
+    const bool number =
+        s.type == knob::kind::integer || s.type == knob::kind::real;
+    os << (i == 0 ? "\n" : ",\n") << "    \"" << s.name << "\": {\"env\": \""
+       << s.env << "\", \"value\": "
+       << (number ? text : '"' + json_escape(text) + '"')
+       << ", \"source\": \"" << knob::to_string(v.from) << "\"}";
+  }
+  os << "\n  }";
+}
+
 }  // namespace
 
 void session::write_chrome_trace(std::ostream& os) const {
@@ -144,6 +160,10 @@ void session::write_metrics_json(std::ostream& os) const {
   const metrics_registry m = merged_metrics();
   os << "{\n";
   write_registry_json(os, m, "  ");
+  {
+    std::lock_guard lock(mtx_);
+    write_config_json(os, worlds_.empty() ? knob::current() : run_config_);
+  }
   // A session reused across several ygm::launch calls holds one lane group
   // per run; the top-level sections above merge ALL of them (a gauge keeps
   // the max across stale worlds). Emit each world separately too, so

@@ -1,9 +1,9 @@
 #include "telemetry/live.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 
+#include "common/knobs.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/statusz.hpp"
 
@@ -145,75 +145,15 @@ bool engine_driver_active() noexcept {
 
 // ------------------------------------------------------------------- knobs
 
-namespace {
-
-std::atomic<int> g_sample_override{-1};
-std::atomic<int> g_statusz_override{-1};
-
-std::mutex g_dir_mtx;
-std::string g_statusz_dir_hint;
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
-}
-
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
-}  // namespace
-
 int resolved_sample_ms() {
-  const int ov = g_sample_override.load(std::memory_order_acquire);
-  if (ov >= 0) return ov;
-  return std::max(0, env_int("YGM_SAMPLE_MS", 100));
+  return static_cast<int>(knob::get(knob::id::sample_ms).num);
 }
 
-void set_sample_ms_override(int ms) {
-  g_sample_override.store(ms < 0 ? -1 : ms, std::memory_order_release);
-}
-
-int sample_ms_override() noexcept {
-  return g_sample_override.load(std::memory_order_acquire);
-}
-
-bool resolved_statusz() {
-  const int ov = g_statusz_override.load(std::memory_order_acquire);
-  if (ov >= 0) return ov != 0;
-  return env_truthy("YGM_STATUSZ");
-}
-
-void set_statusz_override(int v) {
-  g_statusz_override.store(v < 0 ? -1 : (v != 0 ? 1 : 0),
-                           std::memory_order_release);
-}
-
-int statusz_override() noexcept {
-  return g_statusz_override.load(std::memory_order_acquire);
-}
+bool resolved_statusz() { return knob::get(knob::id::statusz).num != 0; }
 
 std::string statusz_dir() {
-  if (const char* v = std::getenv("YGM_STATUSZ_DIR");
-      v != nullptr && *v != '\0') {
-    return v;
-  }
-  {
-    std::lock_guard lock(g_dir_mtx);
-    if (!g_statusz_dir_hint.empty()) return g_statusz_dir_hint;
-  }
-  if (const char* v = std::getenv("TMPDIR"); v != nullptr && *v != '\0') {
-    return v;
-  }
-  return "/tmp";
-}
-
-void set_statusz_dir_hint(const std::string& dir) {
-  std::lock_guard lock(g_dir_mtx);
-  g_statusz_dir_hint = dir;
+  const std::string& dir = knob::get(knob::id::statusz_dir).text;
+  return dir.empty() ? knob::get(knob::id::tmpdir).text : dir;
 }
 
 // ---------------------------------------------------------------- services

@@ -284,28 +284,14 @@ bool engine_driver_active() noexcept;
 void sampler_poll() noexcept;
 
 // ------------------------------------------------------------------- knobs
-//
-// Precedence (the core/launch.hpp convention): explicit run_options field >
-// YGM_* environment variable > default. The overrides are what
-// scoped_run_defaults sets from run_options.
 
-/// Sampling period: override >= 0 wins, else YGM_SAMPLE_MS, else 100.
-/// 0 disables the sampler.
+/// The sample_ms knob (0 disables the sampler) and the statusz knob.
 int resolved_sample_ms();
-void set_sample_ms_override(int ms);  // -1 clears
-int sample_ms_override() noexcept;
-
-/// statusz endpoint: override >= 0 wins (0 off / 1 on), else YGM_STATUSZ
-/// (truthy = on), else off.
 bool resolved_statusz();
-void set_statusz_override(int v);  // -1 clears
-int statusz_override() noexcept;
 
-/// Directory statusz sockets are created in: YGM_STATUSZ_DIR > the socket
-/// backend's rendezvous-dir hint (set_statusz_dir_hint, called in each
-/// forked child) > $TMPDIR > /tmp.
+/// Directory statusz sockets are created in: YGM_STATUSZ_DIR > the
+/// rendezvous directory (socket and shm children) > $TMPDIR > /tmp.
 std::string statusz_dir();
-void set_statusz_dir_hint(const std::string& dir);
 
 // ---------------------------------------------------------------- services
 

@@ -139,7 +139,9 @@ session::~session() {
 
 int session::begin_world(int nranks) {
   YGM_CHECK(nranks > 0, "telemetry world needs a positive rank count");
+  knob::table config = knob::current();
   std::lock_guard lock(mtx_);
+  run_config_ = std::move(config);
   const int world = static_cast<int>(worlds_.size());
   auto& lanes = worlds_.emplace_back();
   lanes.reserve(static_cast<std::size_t>(nranks));

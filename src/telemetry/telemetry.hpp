@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "telemetry/live.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -176,7 +177,7 @@ class session {
   session& operator=(const session&) = delete;
 
   /// Open a lane group for one mpisim world of `nranks` ranks; returns the
-  /// world index (Chrome-trace pid). Thread-safe.
+  /// world index (Chrome-trace pid). Snapshots the knob table. Thread-safe.
   int begin_world(int nranks);
 
   /// Append one extra lane to an already-begun world (lane index = previous
@@ -208,6 +209,7 @@ class session {
   void visit_lanes(const std::function<void(const recorder&)>& f) const;
 
   // Exporters (export.cpp). Path overloads return false on I/O failure.
+  // The metrics JSON's "config" is the last world's knob table snapshot.
   void write_chrome_trace(std::ostream& os) const;
   bool write_chrome_trace(const std::string& path) const;
   void write_metrics_json(std::ostream& os) const;
@@ -230,6 +232,7 @@ class session {
 
   mutable std::mutex mtx_;
   std::vector<std::vector<std::unique_ptr<recorder>>> worlds_;
+  knob::table run_config_;  ///< the knob table as the last world began
   std::chrono::steady_clock::time_point epoch_;
   config cfg_;
 };

@@ -1,6 +1,5 @@
 #include "transport/chaos.hpp"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -30,54 +29,25 @@ chaos_config chaos_config::heavy(std::uint64_t seed) {
   return c;
 }
 
-namespace {
-
-bool read_env_u64(const char* name, std::uint64_t& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  out = std::strtoull(v, nullptr, 0);
-  return true;
-}
-
-bool read_env_double(const char* name, double& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  out = std::strtod(v, nullptr);
-  return true;
-}
-
-}  // namespace
-
-std::optional<chaos_config> chaos_config::from_env() {
-  if (const char* preset = std::getenv("YGM_CHAOS");
-      preset != nullptr && *preset != '\0') {
-    const std::string s(preset);
-    const auto colon = s.find(':');
-    const std::string name = s.substr(0, colon);
-    const std::uint64_t seed =
-        colon == std::string::npos
-            ? 0
-            : std::strtoull(s.c_str() + colon + 1, nullptr, 0);
-    if (name == "heavy") return heavy(seed);
-    if (name == "light") return light(seed);
-    return std::nullopt;  // unknown preset name: treat as unset
+std::optional<chaos_config> chaos_config::from_knobs(const knob::table& t) {
+  using knob::id;
+  const knob::value& preset = t[id::chaos];
+  if (preset.from == knob::source::env) {
+    if (preset.text == "off") return std::nullopt;
+    return preset.text == "heavy" ? heavy(preset.num) : light(preset.num);
   }
-
-  chaos_config c;
-  bool any = read_env_u64("YGM_CHAOS_SEED", c.seed);
-  any |= read_env_double("YGM_CHAOS_DELAY_PROB", c.delay_prob);
-  std::uint64_t u = 0;
-  if (read_env_u64("YGM_CHAOS_MAX_DELAY_TICKS", u)) {
-    c.max_delay_ticks = static_cast<std::uint32_t>(u);
-    any = true;
-  }
-  any |= read_env_double("YGM_CHAOS_IPROBE_MISS_PROB", c.iprobe_miss_prob);
-  any |= read_env_double("YGM_CHAOS_STALL_PROB", c.stall_prob);
-  if (read_env_u64("YGM_CHAOS_MAX_STALL_US", u)) {
-    c.max_stall_us = static_cast<std::uint32_t>(u);
-    any = true;
+  bool any = false;
+  for (int k = int(id::chaos_seed); k <= int(id::chaos_max_stall_us); ++k) {
+    any |= t[id(k)].from == knob::source::env;
   }
   if (!any) return std::nullopt;
+  chaos_config c;
+  c.seed = t[id::chaos_seed].num;
+  c.delay_prob = t[id::chaos_delay_prob].real;
+  c.max_delay_ticks = std::uint32_t(t[id::chaos_max_delay_ticks].num);
+  c.iprobe_miss_prob = t[id::chaos_iprobe_miss_prob].real;
+  c.stall_prob = t[id::chaos_stall_prob].real;
+  c.max_stall_us = std::uint32_t(t[id::chaos_max_stall_us].num);
   return c;
 }
 

@@ -43,6 +43,8 @@
 #include <optional>
 #include <string>
 
+#include "common/knobs.hpp"
+
 namespace ygm::transport {
 
 struct chaos_config {
@@ -85,13 +87,13 @@ struct chaos_config {
   /// termination and mailbox bugs.
   static chaos_config heavy(std::uint64_t seed);
 
-  /// Build a config from YGM_CHAOS environment variables (see docs/CHAOS.md):
-  ///   YGM_CHAOS=light:SEED | heavy:SEED        preset shorthand
-  ///   YGM_CHAOS_SEED, YGM_CHAOS_DELAY_PROB, YGM_CHAOS_MAX_DELAY_TICKS,
-  ///   YGM_CHAOS_IPROBE_MISS_PROB, YGM_CHAOS_STALL_PROB,
-  ///   YGM_CHAOS_MAX_STALL_US                    individual knobs
-  /// Returns nullopt when no YGM_CHAOS* variable is set.
-  static std::optional<chaos_config> from_env();
+  /// The chaos a knob table's YGM_CHAOS* values set: the preset if set,
+  /// else the individual knobs over a zero config; nullopt when none came
+  /// from the environment or YGM_CHAOS=off. from_env reads the environment.
+  static std::optional<chaos_config> from_knobs(const knob::table& t);
+  static std::optional<chaos_config> from_env() {
+    return from_knobs(knob::from_env());
+  }
 
   /// One-line reproduction recipe ("seed=12 delay=0.5x16 miss=0.3/32
   /// stall=0.05x200us"); printed with every invariant violation.

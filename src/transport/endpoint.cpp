@@ -1,7 +1,5 @@
 #include "transport/endpoint.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "common/assert.hpp"
@@ -9,67 +7,17 @@
 
 namespace ygm::transport {
 
-std::string_view to_string(backend_kind k) noexcept {
-  switch (k) {
-    case backend_kind::inproc:
-      return "inproc";
-    case backend_kind::socket:
-      return "socket";
-    case backend_kind::shm:
-      return "shm";
-  }
-  return "?";
-}
-
-std::optional<backend_kind> backend_from_name(std::string_view name) noexcept {
-  if (name == "inproc") return backend_kind::inproc;
-  if (name == "socket") return backend_kind::socket;
-  if (name == "shm") return backend_kind::shm;
-  return std::nullopt;
-}
-
-backend_kind backend_from_env() {
-  const char* v = std::getenv("YGM_TRANSPORT");
-  if (v == nullptr || *v == '\0') return backend_kind::inproc;
-  const auto k = backend_from_name(v);
-  YGM_CHECK(k.has_value(), std::string("unknown YGM_TRANSPORT backend '") +
-                               v + "' (expected inproc | socket | shm)");
-  return *k;
-}
-
-namespace {
-
-std::size_t outq_cap_from_env() {
-  const char* v = std::getenv("YGM_OUTQ_CAP_BYTES");
-  if (v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != nullptr && *end == '\0') return static_cast<std::size_t>(n);
-  }
-  return std::size_t{4} << 20;  // 4 MiB
-}
-
-// Process-wide so forked socket children inherit the launch override.
-std::atomic<std::size_t> g_outq_cap{outq_cap_from_env()};
-
-}  // namespace
-
-std::size_t outq_cap_bytes() noexcept {
-  return g_outq_cap.load(std::memory_order_relaxed);
-}
-
-void set_outq_cap_bytes(std::size_t cap) noexcept {
-  g_outq_cap.store(cap, std::memory_order_relaxed);
-}
-
 endpoint::endpoint(backend_kind kind, int rank, int nranks, mail_slot& shared)
     : kind_(kind), rank_(rank), nranks_(nranks), slot_(&shared),
-      has_wire_(false) {}
+      has_wire_(false) {
+  (void)knob::current();  // send() reads the cap with one unchecked load
+}
 
 endpoint::endpoint(backend_kind kind, int rank, int nranks,
                    const chaos_config* chaos)
     : kind_(kind), rank_(rank), nranks_(nranks), has_wire_(true),
       own_slot_(std::make_unique<mail_slot>()) {
+  (void)knob::current();  // send() reads the cap with one unchecked load
   YGM_CHECK(nranks > 0 && rank >= 0 && rank < nranks,
             std::string(to_string(kind)) + " endpoint rank outside world");
   slot_ = own_slot_.get();

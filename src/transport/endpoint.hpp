@@ -8,7 +8,7 @@
 //   * post() is eager but *bounded*: the payload is framed and either
 //     delivered (inproc) or queued toward the peer (socket, shm). Each
 //     backend enforces an outbound byte cap per peer (outq_cap_bytes(),
-//     YGM_OUTQ_CAP_BYTES, 0 disables): at the cap the process backends
+//     docs/KNOBS.md, 0 disables): at the cap the process backends
 //     block acceptance until the wire drains (pumping their own receive
 //     side meanwhile, so two mutually-flooding ranks cannot deadlock), and
 //     the inproc backend applies a bounded wait on the destination slot's
@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -42,6 +43,7 @@
 #include <optional>
 #include <string_view>
 
+#include "common/knobs.hpp"
 #include "transport/chaos.hpp"
 #include "transport/envelope.hpp"
 #include "transport/mail_slot.hpp"
@@ -49,33 +51,45 @@
 
 namespace ygm::transport {
 
+/// In the order of the knob table's YGM_TRANSPORT choices.
 enum class backend_kind {
   inproc,  ///< threads as ranks inside one process (the original simulator)
   socket,  ///< one OS process per rank over Unix-domain sockets
   shm,     ///< one OS process per rank over shared-memory SPSC rings
 };
 
-std::string_view to_string(backend_kind k) noexcept;
+inline std::string_view to_string(backend_kind k) noexcept {
+  return knob::spec_of(knob::id::backend).choices[std::size_t(k)];
+}
 
 /// Parse a backend name ("inproc" | "socket" | "shm"); nullopt on anything
 /// else.
-std::optional<backend_kind> backend_from_name(std::string_view name) noexcept;
+inline std::optional<backend_kind> backend_from_name(
+    std::string_view name) noexcept {
+  const auto i = knob::choice_index(knob::id::backend, name);
+  return i ? std::optional(backend_kind(*i)) : std::nullopt;
+}
 
-/// The backend named by YGM_TRANSPORT, defaulting to inproc when the
-/// variable is unset or empty. Throws ygm::error on an unknown name (a typo
-/// silently falling back to inproc would fake multi-process coverage).
-backend_kind backend_from_env();
+/// The backend YGM_TRANSPORT names (inproc when unset). Throws ygm::error
+/// on an unknown name: a silent fallback would fake multi-process coverage.
+inline backend_kind backend_from_env() {
+  return backend_kind(knob::from_env()[knob::id::backend].num);
+}
 
-/// Channel-level outbound byte cap, the transport-layer floor under the
-/// mailbox credit budget (docs/BACKPRESSURE.md). Resolution: launch
-/// override (run_options::outq_cap_bytes via set_outq_cap_bytes) >
-/// YGM_OUTQ_CAP_BYTES > 4 MiB default; 0 disables the cap and restores the
-/// historical unbounded-queue behaviour.
-std::size_t outq_cap_bytes() noexcept;
+/// Channel-level outbound byte cap under the mailbox credit budget
+/// (docs/BACKPRESSURE.md): the outq_cap_bytes knob, 0 = off. One load;
+/// every endpoint resolves the knob table when it is built.
+inline std::size_t outq_cap_bytes() noexcept {
+  return knob::num_unchecked(knob::id::outq_cap_bytes);
+}
 
-/// Override the cap process-wide (launch plumbing; set before worlds come
-/// up so forked socket children inherit it).
-void set_outq_cap_bytes(std::size_t cap) noexcept;
+/// The process backends' accept rule for a frame toward a peer with
+/// `queued` bytes in flight: the cap is off, nothing is in flight (a frame
+/// larger than the cap must still pass), or the frame fits.
+inline bool outq_accepts(std::size_t queued, std::size_t frame_bytes) noexcept {
+  const std::size_t cap = outq_cap_bytes();
+  return cap == 0 || queued == 0 || queued + frame_bytes <= cap;
+}
 
 /// Per-endpoint transport counters, published into the owning rank's
 /// telemetry lane at endpoint teardown under "transport.<backend>.*" (plus

@@ -18,8 +18,8 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/knobs.hpp"
 #include "ser/serialize.hpp"
-#include "telemetry/live.hpp"
 #include "telemetry/telemetry.hpp"
 #include "transport/shm/shm_transport.hpp"
 #include "transport/socket/socket_transport.hpp"
@@ -120,9 +120,8 @@ void write_fully(int fd, const std::byte* p, std::size_t n) {
 // ------------------------------------------------------- rendezvous dir
 
 std::string make_rendezvous_dir(const std::string& prefix) {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string templ = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
-                      "/" + prefix + "-XXXXXX";
+  std::string templ =
+      knob::get(knob::id::tmpdir).text + "/" + prefix + "-XXXXXX";
   std::vector<char> buf(templ.begin(), templ.end());
   buf.push_back('\0');
   YGM_CHECK(mkdtemp(buf.data()) != nullptr,
@@ -215,10 +214,11 @@ std::vector<std::vector<std::byte>> launch(
     }
     const int out_fd = pipes[static_cast<std::size_t>(r)][1];
 
-    // Advertise statusz endpoints through the rendezvous directory: every
-    // child binds its introspection socket next to the rank rendezvous
-    // files, so ygm_top can discover the whole job from the one directory.
-    telemetry::live::set_statusz_dir_hint(dir);
+    // Unless YGM_STATUSZ_DIR names one, every child binds its statusz socket
+    // next to the rank rendezvous files: ygm_top finds the whole job there.
+    if (knob::get(knob::id::statusz_dir).from == knob::source::fallback) {
+      knob::set(knob::id::statusz_dir, {.text = dir});
+    }
 
     std::uint8_t rank_status = 0;
     std::string errmsg;

@@ -353,13 +353,10 @@ void endpoint::send(int dest, envelope&& e) {
     auto& op = out_[static_cast<std::size_t>(dest)];
     YGM_CHECK(op.main.valid() && !op.fin_sent, "post after shm teardown");
 
-    // The socket backend's accept rule, with in-flight ring bytes standing
-    // in for queued outq bytes: accept when nothing is in flight (a single
-    // frame beyond the cap must still pass) or the frame fits under
-    // outq_cap_bytes(). The ring's own capacity is the hard floor below.
-    const std::size_t cap = transport::outq_cap_bytes();
-    const std::size_t in_flight = op.main.in_flight() + op.spill.in_flight();
-    if (cap != 0 && in_flight != 0 && in_flight + frame_bytes > cap) {
+    // The shared accept rule, with in-flight ring bytes standing in for
+    // queued outq bytes. The ring's own capacity is the hard floor below.
+    if (!outq_accepts(op.main.in_flight() + op.spill.in_flight(),
+                      frame_bytes)) {
       if (!cap_stalled) {
         cap_stalled = true;
         ++outq_stalls_;
@@ -375,7 +372,8 @@ void endpoint::send(int dest, envelope&& e) {
       const std::uint32_t seen = c.space_seq.load(std::memory_order_acquire);
       c.producer_parked.store(1, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (op.main.in_flight() + op.spill.in_flight() + frame_bytes > cap &&
+      if (!outq_accepts(op.main.in_flight() + op.spill.in_flight(),
+                        frame_bytes) &&
           segments_[static_cast<std::size_t>(dest)].hdr->aborted.load(
               std::memory_order_relaxed) == 0) {
         ++futex_parks_;

@@ -38,6 +38,7 @@ namespace {
 namespace sim = ygm::mpisim;
 namespace tel = ygm::telemetry;
 namespace causal = ygm::telemetry::causal;
+namespace knob = ygm::knob;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
@@ -452,8 +453,8 @@ TEST(WatchdogRearm, SecondStallFiresAgainAndReportsCredit) {
   const std::string dump = "test_backpressure_postmortem.json";
   std::remove(dump.c_str());
   causal::reset_postmortem_latch();
-  causal::set_postmortem_path(dump);
-  causal::set_stall_timeout_ms(20);
+  knob::set(knob::id::postmortem_out, {.text = dump});
+  knob::set(knob::id::stall_timeout_ms, {.real = 20});
 
   tel::session session;
   tel::set_global(&session);
@@ -502,7 +503,7 @@ TEST(WatchdogRearm, SecondStallFiresAgainAndReportsCredit) {
       << "watchdog did not re-arm: second stall wrote no postmortem";
 
   tel::set_global(nullptr);
-  causal::set_stall_timeout_ms(0);
+  knob::set(knob::id::stall_timeout_ms, {.real = 0});
   causal::reset_postmortem_latch();
   std::remove(dump.c_str());
 }

@@ -27,6 +27,7 @@ namespace {
 namespace sim = ygm::mpisim;
 namespace tel = ygm::telemetry;
 namespace causal = ygm::telemetry::causal;
+namespace knob = ygm::knob;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
@@ -41,8 +42,8 @@ using ygm::routing::topology;
 struct causal_config_guard {
   causal_config_guard() { causal::reset_postmortem_latch(); }
   ~causal_config_guard() {
-    causal::set_sample_rate(0);
-    causal::set_stall_timeout_ms(0);
+    knob::set(knob::id::trace_sample, {.real = 0});
+    knob::set(knob::id::stall_timeout_ms, {.real = 0});
     causal::reset_postmortem_latch();
     tel::set_global(nullptr);
   }
@@ -85,9 +86,9 @@ TEST(CausalWire, HopBytePackingRoundTripsAndSurvivesJsonDouble) {
 
 TEST(CausalSampling, RateEndpointsAndDeterminism) {
   causal_config_guard guard;
-  causal::set_sample_rate(0);
+  knob::set(knob::id::trace_sample, {.real = 0});
   EXPECT_EQ(causal::detail::sample_threshold(), 0u);
-  causal::set_sample_rate(1.0);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
   // Rate 1.0 must sample EVERY (origin, seq): threshold is all-ones and the
   // decision hash never returns ~0.
   for (int origin = 0; origin < 8; ++origin) {
@@ -100,7 +101,7 @@ TEST(CausalSampling, RateEndpointsAndDeterminism) {
   EXPECT_EQ(causal::detail::journey_hash(3, 41, 9),
             causal::detail::journey_hash(3, 41, 9));
   // Half rate lands in the right ballpark over a big population.
-  causal::set_sample_rate(0.5);
+  knob::set(knob::id::trace_sample, {.real = 0.5});
   int sampled = 0;
   const std::uint64_t thr = causal::detail::sample_threshold();
   for (std::uint32_t seq = 0; seq < 10000; ++seq) {
@@ -154,7 +155,7 @@ TEST(CausalSampling, RateZeroIsWireByteIdenticalToUntraced) {
   // nothing may be recorded or annotated.
   tel::session off;
   tel::set_global(&off);
-  causal::set_sample_rate(0);
+  knob::set(knob::id::trace_sample, {.real = 0});
   const std::uint64_t at_zero = all_to_all_wire_bytes();
   tel::set_global(nullptr);
   EXPECT_EQ(at_zero, baseline);
@@ -166,7 +167,7 @@ TEST(CausalSampling, RateZeroIsWireByteIdenticalToUntraced) {
   // an annotation for every traced leg.
   tel::session on;
   tel::set_global(&on);
-  causal::set_sample_rate(1.0);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
   const std::uint64_t at_one = all_to_all_wire_bytes();
   tel::set_global(nullptr);
   EXPECT_GT(at_one, baseline);
@@ -217,7 +218,7 @@ void run_journey_trial(scheme_kind scheme) {
   causal_config_guard guard;
   tel::session session;
   tel::set_global(&session);
-  causal::set_sample_rate(1.0);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
 
   const topology topo(2, 2);
   constexpr int msgs = 30;
@@ -272,7 +273,7 @@ TEST(CausalJourneys, SurviveChaosAcrossSeedsAndSampleRates) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     tel::session session;
     tel::set_global(&session);
-    causal::set_sample_rate(seed % 2 == 0 ? 1.0 : 0.5);
+    knob::set(knob::id::trace_sample, {.real = seed % 2 == 0 ? 1.0 : 0.5});
 
     ygm::core::trial_config t;
     t.seed = seed;
@@ -319,9 +320,9 @@ TEST(CausalWatchdog, StallDumpsParseablePostmortem) {
 
   tel::session session;
   tel::set_global(&session);
-  causal::set_sample_rate(1.0);
-  causal::set_postmortem_path(dump);
-  causal::set_stall_timeout_ms(50);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
+  knob::set(knob::id::postmortem_out, {.text = dump});
+  knob::set(knob::id::stall_timeout_ms, {.real = 50});
 
   // Rank 0 flushes a message toward rank 1 and waits; rank 1 sleeps through
   // the watchdog window before servicing its mailbox, so rank 0 sees zero
@@ -377,7 +378,7 @@ TEST(CausalWatchdog, QuiescentRunNeverFires) {
   causal_config_guard guard;
   tel::session session;
   tel::set_global(&session);
-  causal::set_stall_timeout_ms(10000);
+  knob::set(knob::id::stall_timeout_ms, {.real = 10000});
   ygm::launch({.nranks = 2}, [&](sim::comm& c) {
     comm_world world(c, topology(2, 1), scheme_kind::no_route);
     int recv = 0;

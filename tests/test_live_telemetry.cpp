@@ -31,6 +31,7 @@ namespace sim = ygm::mpisim;
 namespace tel = ygm::telemetry;
 namespace live = ygm::telemetry::live;
 namespace causal = ygm::telemetry::causal;
+namespace knob = ygm::knob;
 using ygm::common::json_parser;
 using ygm::common::json_value;
 using ygm::core::comm_world;
@@ -48,13 +49,11 @@ struct probe_payload {
   }
 };
 
-/// Every test leaves the process-global knobs (causal sampling, live
-/// overrides, global session) the way it found them.
+/// Every test leaves the process-global knobs (causal sampling, global
+/// session) the way it found them.
 struct live_config_guard {
   ~live_config_guard() {
-    causal::set_sample_rate(0);
-    live::set_sample_ms_override(-1);
-    live::set_statusz_override(-1);
+    knob::set(knob::id::trace_sample, {.real = 0});
     tel::set_global(nullptr);
   }
 };
@@ -176,7 +175,7 @@ TEST(LiveSketch, PercentilesAgreeWithOfflineTraceWithinOneBucket) {
   live_config_guard guard;
   tel::session session;
   tel::set_global(&session);
-  causal::set_sample_rate(1.0);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
 
   constexpr int kRanks = 4;
   constexpr int kMsgs = 50;
@@ -194,7 +193,7 @@ TEST(LiveSketch, PercentilesAgreeWithOfflineTraceWithinOneBucket) {
     mb.wait_empty();
   });
   tel::set_global(nullptr);
-  causal::set_sample_rate(0);
+  knob::set(knob::id::trace_sample, {.real = 0});
 
   // Offline: stitch the full trace and measure first-enqueue -> deliver.
   const causal::journey_map journeys =
@@ -350,7 +349,7 @@ TEST(LiveChaos, InvariantsHoldWithSamplerAndSketchesOn) {
   live_config_guard guard;
   tel::session session;
   tel::set_global(&session);
-  causal::set_sample_rate(1.0);
+  knob::set(knob::id::trace_sample, {.real = 1.0});
 
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     trial_config t;
@@ -394,8 +393,6 @@ TEST(LiveChaos, InvariantsHoldWithSamplerAndSketchesOn) {
 
 TEST(LiveKnobs, RunOptionsOverrideWinsAndRestores) {
   live_config_guard guard;
-  live::set_sample_ms_override(-1);
-  live::set_statusz_override(-1);
   const int env_default = live::resolved_sample_ms();
 
   {
@@ -408,7 +405,7 @@ TEST(LiveKnobs, RunOptionsOverrideWinsAndRestores) {
       EXPECT_FALSE(live::resolved_statusz());
     });
   }
-  // scoped_run_defaults must restore the pre-run resolution.
+  // The launch's knob::run_scope must restore the pre-run resolution.
   EXPECT_EQ(live::resolved_sample_ms(), env_default);
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "common/mini_json.hpp"
 #include "core/ygm.hpp"
 #include "telemetry/telemetry.hpp"
@@ -233,7 +234,10 @@ TEST(Export, BenchStyleRunProducesValidChromeTrace) {
   const topology topo(2, 2);
   tel::session session;
   tel::set_global(&session);
-  ygm::launch({.nranks = topo.num_ranks()}, [&](sim::comm& c) {
+  // One field set explicitly, so the metrics JSON's "config" shows a field
+  // source beside the environment and default ones.
+  ygm::launch({.nranks = topo.num_ranks(), .credit_bytes = std::size_t{1} << 20},
+              [&](sim::comm& c) {
     comm_world world(c, topo, scheme_kind::node_remote);
     std::uint64_t sink = 0;
     mailbox<std::uint64_t> mb(
@@ -288,6 +292,25 @@ TEST(Export, BenchStyleRunProducesValidChromeTrace) {
   EXPECT_TRUE(metrics.obj().at("histograms").is_object());
   EXPECT_GT(
       metrics.obj().at("counters").obj().at("mailbox.app_sends").num(), 0.0);
+
+  // ...and it records the run's resolved configuration: every knob of the
+  // table, with its environment variable, value and source.
+  const auto& config = metrics.obj().at("config").obj();
+  EXPECT_EQ(config.size(), ygm::knob::kCount);
+  for (const auto& [name, entry] : config) {
+    const auto& e = entry.obj();
+    EXPECT_FALSE(e.at("env").str().empty()) << name;
+    const std::string& src = e.at("source").str();
+    EXPECT_TRUE(src == "default" || src == "env" || src == "field") << name;
+  }
+  const auto& credit = config.at("credit_bytes").obj();
+  EXPECT_EQ(credit.at("env").str(), "YGM_CREDIT_BYTES");
+  EXPECT_DOUBLE_EQ(credit.at("value").num(), 1048576.0);
+  EXPECT_EQ(credit.at("source").str(), "field");
+  const std::string& backend = config.at("backend").obj().at("value").str();
+  EXPECT_TRUE(backend == "inproc" || backend == "socket" || backend == "shm");
+  EXPECT_EQ(config.at("statusz").obj().at("env").str(), "YGM_STATUSZ");
+  EXPECT_TRUE(config.at("statusz").obj().at("value").is_number());
 }
 
 TEST(Export, SpansCoverRankWallTime) {

@@ -23,6 +23,7 @@
 
 #include <memory>
 
+#include "common/knobs.hpp"
 #include "core/invariants.hpp"
 #include "core/launch.hpp"
 #include "core/progress.hpp"
@@ -287,11 +288,14 @@ int main(int argc, char** argv) {
   const std::string backend_name(tp::to_string(backend));
 
   namespace telemetry = ygm::telemetry;
-  if (o.trace_sample >= 0) telemetry::causal::set_sample_rate(o.trace_sample);
+  namespace knob = ygm::knob;
+  if (o.trace_sample >= 0) {
+    knob::set(knob::id::trace_sample, {.real = o.trace_sample});
+  }
   if (!o.postmortem_out.empty()) {
-    telemetry::causal::set_postmortem_path(o.postmortem_out);
-    if (telemetry::causal::stall_timeout_ms() <= 0) {
-      telemetry::causal::set_stall_timeout_ms(10000);
+    knob::set(knob::id::postmortem_out, {.text = o.postmortem_out});
+    if (knob::get(knob::id::stall_timeout_ms).real <= 0) {
+      knob::set(knob::id::stall_timeout_ms, {.real = 10000});
     }
   }
   // Tracing and the watchdog both record into per-rank telemetry lanes, so

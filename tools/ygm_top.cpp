@@ -16,8 +16,8 @@
 //                                            demands a live e2e sketch)
 //   --wait-ms N                              selfcheck/first-poll patience
 //
-// Directory resolution mirrors the server side: --dir > YGM_STATUSZ_DIR >
-// $TMPDIR > /tmp. Point --dir at a socket-backend rendezvous directory to
+// Directory resolution is the server side's (live::statusz_dir()): --dir >
+// YGM_STATUSZ_DIR > $TMPDIR > /tmp. Point --dir at a socket-backend rendezvous directory to
 // watch that job (children bind their statusz sockets next to the rank
 // sockets).
 #include <dirent.h>
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/mini_json.hpp"
+#include "telemetry/live.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/statusz.hpp"
 
@@ -63,14 +64,6 @@ void usage(const char* argv0) {
       "usage: %s [--dir D] [--interval-ms N] [--wait-ms N] [--once]\n"
       "          [--json] [--selfcheck] [--require-latency]\n",
       argv0);
-}
-
-std::string default_dir() {
-  if (const char* d = std::getenv("YGM_STATUSZ_DIR"); d != nullptr && *d) {
-    return d;
-  }
-  if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t) return t;
-  return "/tmp";
 }
 
 std::vector<std::string> discover(const std::string& dir) {
@@ -413,7 +406,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (o.dir.empty()) o.dir = default_dir();
+  if (o.dir.empty()) o.dir = ygm::telemetry::live::statusz_dir();
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(o.wait_ms);
