@@ -29,9 +29,9 @@ comm_world::comm_world(mpisim::comm& c, routing::topology topo,
             "topology does not cover the communicator");
   credit_bytes_ =
       static_cast<std::size_t>(knob::get(knob::id::credit_bytes).num);
-  // The progress station exists in every mode (the ygm::progress facade
-  // drives it from the rank thread in polling mode); it is handed to the
-  // engine only when ygm::launch installed one in this process.
+  // The progress station exists in every mode (progress::guard marks it in
+  // polling mode too); it is handed to the engine only when ygm::launch
+  // installed one in this process.
   station_ = std::make_shared<progress::station>(progress::current(),
                                                  &c.get_endpoint());
   if (progress::engine* eng = progress::current()) eng->adopt(station_);

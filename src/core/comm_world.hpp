@@ -62,15 +62,13 @@ class comm_world {
 
   // ------------------------------------------------------ progress control
   //
-  // The ygm::progress facade (core/progress.hpp) is the supported surface:
-  // wrap compute regions in ygm::progress::guard, call
-  // ygm::progress::drain/quiesce instead of reaching for raw mailbox
-  // poll_incoming()/flush()/wait_empty() passthroughs. The station exists in
-  // every mode; it is registered with a progress engine only when
+  // Wrap compute regions in ygm::progress::guard (core/progress.hpp) to let
+  // a progress engine move this rank's traffic meanwhile. The station
+  // exists in every mode; it is registered with a progress engine only when
   // ygm::launch installed one in this process (progress_mode = engine).
 
-  /// This rank's progress station (always present; mailboxes register their
-  /// pumps here, the engine and the facade drive them).
+  /// This rank's progress station (always present; engine-mode mailboxes
+  /// register their pumps here, the engine drives them inside guards).
   progress::station& progress_station() const noexcept { return *station_; }
 
   // --------------------------------------------------- debug / chaos knobs

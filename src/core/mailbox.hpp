@@ -28,25 +28,22 @@
 // Progress engine (core/progress.hpp): when ygm::launch installed an engine
 // and the world is untimed, the mailbox registers a pump and switches to
 // engine mode — every public operation then takes a per-mailbox recursive
-// mutex, and the engine thread (always via try-lock, never blocking the
-// rank) drains the transport, forwards intermediary records, and batches
-// deliveries addressed to this rank onto a bounded lock-free ring the rank
-// consumes at its next poll()/test_empty(). In polling mode the lock is
-// never constructed-locked — the hot path keeps its historical
-// zero-synchronization shape (one branch). Termination rounds are advanced
-// by the engine only while the rank is parked inside wait_empty(); a
-// quiescence verdict the engine consumed is preserved in quiescence_seen_
-// for the rank's next test.
+// mutex, and while the rank is inside a progress::guard the engine thread
+// (always via try-lock, never blocking the rank) drains the transport,
+// forwards intermediary records, and batches deliveries addressed to this
+// rank onto a bounded queue the rank consumes at its next
+// poll()/test_empty(). In polling mode the lock is never taken — the hot
+// path keeps its historical zero-synchronization shape (one branch). The
+// termination detector runs only on the rank thread, in both modes.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -103,25 +100,17 @@ class mailbox {
     YGM_CHECK(on_recv_ != nullptr, "mailbox requires a receive callback");
     YGM_CHECK(world.size() < packet_credit_escape,
               "world size collides with the reserved escape-record ranks");
-    // Register with the rank's progress station. Engine mode needs an
-    // attached engine AND an untimed world — the virtual clock is
-    // rank-thread state no other thread may advance. Timed (or polling)
-    // worlds still register the rank-side closures so the ygm::progress
-    // facade works uniformly.
-    station_ = &world.progress_station();
-    engine_mode_ = station_->engine_attached() && !world.timed();
-    pump_ = std::make_shared<progress::pump>();
-    pump_->rank_poll = [this] { poll(); };
-    pump_->rank_quiesce = [this] { wait_empty(); };
+    // Engine mode needs an attached engine AND an untimed world — the
+    // virtual clock is rank-thread state no other thread may advance. Only
+    // engine-mode mailboxes register with the rank's progress station.
+    engine_mode_ = world.progress_station().engine_attached() && !world.timed();
     if (engine_mode_) {
-      deferred_ =
-          std::make_unique<progress::mpsc_ring<std::vector<std::byte>>>(
-              progress::engine_options{}.ring_slots);
+      pump_ = std::make_shared<progress::pump>();
       pump_->engine_advance = [this](bool inline_deliveries) {
         return engine_advance(inline_deliveries);
       };
+      world.progress_station().add_pump(pump_);
     }
-    station_->add_pump(pump_);
   }
 
   mailbox(const mailbox&) = delete;
@@ -133,7 +122,7 @@ class mailbox {
     // After remove_pump returns the engine can never touch this mailbox
     // again (it disables the pump and waits out any steal in flight), so
     // the rest of teardown is single-threaded.
-    station_->remove_pump(pump_);
+    if (pump_) world_->progress_station().remove_pump(pump_);
     if (auto* rec = telemetry::tls()) stats_.publish(rec->metrics());
   }
 
@@ -272,7 +261,8 @@ class mailbox {
   /// Nonblocking global-quiescence test (paper TEST_EMPTY). Flushes local
   /// buffers, makes progress, and returns true only once every rank has
   /// stopped producing messages and all hops have been received globally.
-  /// Every rank must keep polling for detection to complete.
+  /// Every rank must keep polling for detection to complete. Called from
+  /// inside a receive callback it flushes but always returns false.
   bool test_empty() {
     auto lk = engine_lock();
     return test_empty_locked();
@@ -289,32 +279,21 @@ class mailbox {
     // blocked on a collective the polling ranks never entered.
     telemetry::span sp("mailbox.wait_empty");
     telemetry::causal::stall_watchdog wd;
-    if (!engine_mode_) {
-      while (!test_empty()) {
-        wd.poll({stats_.hops_sent, stats_.hops_received, term_.rounds(),
-                 queued_bytes_, credit_budget_, credit_max_in_flight(),
-                 stats_.credit_stalls});
-        std::this_thread::yield();
-      }
-    } else {
-      // Engine mode: park between tests instead of spinning. While parked
-      // the engine may advance this mailbox — including its termination
-      // rounds, the one window where that is sound (a parked rank produces
-      // nothing, so it cannot invalidate a quiescence verdict). The short
-      // wait bound keeps the rank self-sufficient (liveness does not
-      // depend on the engine, which may be paused) and feeds the stall
-      // watchdog.
-      std::unique_lock lk(mx_);
-      while (!test_empty_locked()) {
-        pump_->parked.store(true, std::memory_order_release);
-        park_cv_.wait_for(lk, std::chrono::milliseconds(1));
-        pump_->parked.store(false, std::memory_order_release);
+    for (;;) {
+      {
+        // Mailbox state is read only under the lock: an engine steal that
+        // started just before the rank's guard closed may still be running.
+        const auto lk = engine_lock();
+        if (test_empty_locked()) {
+          sp.arg("hops_sent", stats_.hops_sent);
+          break;
+        }
         wd.poll({stats_.hops_sent, stats_.hops_received, term_.rounds(),
                  queued_bytes_, credit_budget_, credit_max_in_flight(),
                  stats_.credit_stalls});
       }
+      std::this_thread::yield();
     }
-    sp.arg("hops_sent", stats_.hops_sent);
     if (world_->timed()) sp.vtime_seconds(world_->virtual_now());
   }
 
@@ -706,57 +685,46 @@ class mailbox {
     // reach its own wait_empty, and the detector must not owe its balance
     // to bytes we are sitting on.
     flush_credit_acks(/*force=*/true);
-    if (quiescence_seen_) {
-      // The engine consumed the detector's sticky verdict while we were
-      // parked; honor it exactly once.
-      quiescence_seen_ = false;
-      return true;
-    }
+    // Called from a receive callback (an outer frame holds the exchange
+    // claim): the delivery in progress, and any engine-deferred batch
+    // behind it, is counted as received but has not run yet, so this
+    // mailbox is not quiescent. A detector round sampled here could hand
+    // the verdict to a caller that ignores it.
+    if (in_exchange_.load(std::memory_order_relaxed)) return false;
     return term_.poll(stats_.hops_sent, stats_.hops_received);
   }
 
   /// Engine thread: one advance pass. Never blocks on the rank — if the
   /// rank is anywhere inside the mailbox, back off and retry next pass.
+  /// Moves communication only; termination rounds stay on the rank.
   bool engine_advance(bool inline_deliveries) {
     std::unique_lock lk(mx_, std::try_to_lock);
     if (!lk.owns_lock()) return false;
     if (engine_error_) return false;  // rank must consume the failure first
     exchange_claim claim(in_exchange_);
     if (!claim.entered()) return false;
-
-    bool did = false;
     try {
-      did = engine_drain(inline_deliveries);
+      const bool did = engine_drain(inline_deliveries);
       if (queued_bytes_ >= capacity_) flush();
-      // Termination rounds only for a parked rank with nothing pending in
-      // the handoff ring: a computing rank may still produce (false
-      // quiescence), and an undrained ring means counted-but-undelivered
-      // messages.
-      if (pump_->parked.load(std::memory_order_acquire) &&
-          deferred_->empty()) {
-        flush();
-        if (term_.poll(stats_.hops_sent, stats_.hops_received)) {
-          quiescence_seen_ = true;
-          did = true;
-        }
-      }
+      return did;
     } catch (...) {
       // A callback executed on the engine (deliver::on_engine) threw, or a
-      // transport error surfaced here: park it for the rank thread.
+      // transport error surfaced here: keep it for the rank thread.
       engine_error_ = std::current_exception();
-      did = true;
+      return true;
     }
-    if (did) park_cv_.notify_all();
-    return did;
   }
 
   /// Engine-side transport drain: forwards intermediary records in place,
   /// defers (or, under deliver::on_engine, executes) deliveries addressed
-  /// to this rank. One ring batch per pass bounds handoff growth; a full
-  /// ring is backpressure — the engine leaves messages in the mail slot
+  /// to this rank. One queued batch per pass bounds handoff growth; a full
+  /// queue is backpressure — the engine leaves messages in the mail slot
   /// until the rank catches up.
   bool engine_drain(bool inline_deliveries) {
-    if (!inline_deliveries && deferred_->full()) return false;
+    if (!inline_deliveries &&
+        deferred_.size() >= progress::engine_options{}.ring_slots) {
+      return false;
+    }
     drain_credit_acks();
     auto& mpi = world_->mpi();
     std::vector<std::byte> batch;
@@ -773,36 +741,39 @@ class mailbox {
       const double pushed_us = telemetry::now_us();
       std::memcpy(batch.data(), &pushed_us, sizeof(double));
       telemetry::count("progress.deferred_batches");
-      // Single producer + the full() check above: this push cannot fail.
-      const bool ok = deferred_->try_push(std::move(batch));
-      YGM_ASSERT(ok);
-      park_cv_.notify_all();
+      deferred_.push_back(std::move(batch));
     }
     return did;
   }
 
   /// Rank thread: execute the delivery callbacks the engine handed off.
-  bool drain_deferred_locked() {
-    bool any = false;
-    while (auto batch = deferred_->try_pop()) {
+  /// Under the exchange claim, like the transport drain: a callback that
+  /// calls poll() must not re-enter this loop once per queued batch.
+  void drain_deferred_locked() {
+    if (deferred_.empty()) return;
+    exchange_claim claim(in_exchange_);
+    if (!claim.entered()) return;
+    while (!deferred_.empty()) {
+      std::vector<std::byte> batch = std::move(deferred_.front());
+      deferred_.pop_front();
       double pushed_us = 0;
-      YGM_ASSERT(batch->size() >= sizeof(double));
-      std::memcpy(&pushed_us, batch->data(), sizeof(double));
+      YGM_ASSERT(batch.size() >= sizeof(double));
+      std::memcpy(&pushed_us, batch.data(), sizeof(double));
       packet_reader reader(
-          {batch->data() + sizeof(double), batch->size() - sizeof(double)});
+          {batch.data() + sizeof(double), batch.size() - sizeof(double)});
       telemetry::causal::wire_ctx tctx;
       const telemetry::causal::wire_ctx* pending_trace = nullptr;
       while (!reader.done()) {
         const packet_record rec = reader.next();
         if (packet_record_is_trace(rec)) {
           // The engine already bumped the hop at transport-packet arrival;
-          // the ring handoff is not a network leg.
+          // the queue handoff is not a network leg.
           tctx = telemetry::causal::decode_wire(rec.payload);
           pending_trace = &tctx;
           continue;
         }
         if (pending_trace != nullptr) {
-          // Span from ring push to delivery = engine-handoff residency.
+          // Span from queue push to delivery = engine-handoff residency.
           telemetry::causal::record_hop(*pending_trace,
                                         telemetry::causal::hop_kind::deliver,
                                         pushed_us, rec.payload.size());
@@ -810,11 +781,9 @@ class mailbox {
           pending_trace = nullptr;
         }
         deliver(rec.payload);
-        any = true;
       }
-      buffer_pool::local().release(std::move(*batch));
+      buffer_pool::local().release(std::move(batch));
     }
-    return any;
   }
 
   /// Engine side: append one delivery (payload + optional trace context)
@@ -828,8 +797,8 @@ class mailbox {
           std::min<std::size_t>(capacity_, 4096));
       batch.resize(sizeof(double));  // push-timestamp slot
     }
-    // No hop event for the ring push: journey::legs() counts wire legs
-    // only, and the ring is rank-internal. Ring residency is still
+    // No hop event for the queue push: journey::legs() counts wire legs
+    // only, and the queue is rank-internal. Its residency is still
     // visible — the rank-side drain records the deliver hop with a span
     // starting at the batch's push timestamp.
     if (trace != nullptr) append_trace_escape(batch, *trace);
@@ -959,22 +928,16 @@ class mailbox {
 
   // ------------------------------------------------- progress-engine state
   //
-  // In polling mode only station_/pump_ are live (facade registration);
-  // mx_ is never locked, deferred_ is null, and the flags stay false.
-  progress::station* station_ = nullptr;
+  // In polling mode pump_ is null, mx_ is never locked and deferred_ stays
+  // empty.
   std::shared_ptr<progress::pump> pump_;
   bool engine_mode_ = false;
   /// Guards ALL mailbox state in engine mode (engine always try-locks).
   mutable std::recursive_mutex mx_;
-  /// Signalled by the engine on progress so a parked wait_empty() wakes
-  /// promptly; _any because the mutex is recursive.
-  std::condition_variable_any park_cv_;
   /// Engine → rank handoff of deferred delivery batches (packet format
-  /// behind an 8-byte push timestamp). Bounded: full = backpressure.
-  std::unique_ptr<progress::mpsc_ring<std::vector<std::byte>>> deferred_;
-  /// A quiescence verdict the engine consumed from the (sticky, one-shot)
-  /// detector while the rank was parked; honored at the rank's next test.
-  bool quiescence_seen_ = false;
+  /// behind an 8-byte push timestamp), under mx_. Capped at
+  /// engine_options::ring_slots batches: full = backpressure.
+  std::deque<std::vector<std::byte>> deferred_;
   /// First exception thrown by a callback the engine executed; rethrown on
   /// the rank thread at its next progress call.
   std::exception_ptr engine_error_;

@@ -50,19 +50,6 @@ void station::shutdown() noexcept {
   }
 }
 
-void station::for_each_pump(const std::function<void(pump&)>& f) {
-  // Snapshot under the lock, run outside it: rank_quiesce is collective and
-  // may block for a long time.
-  std::vector<std::shared_ptr<pump>> snap;
-  {
-    std::lock_guard lock(pumps_mtx_);
-    snap = pumps_;
-  }
-  for (auto& p : snap) {
-    if (p->enabled.load(std::memory_order_acquire)) f(*p);
-  }
-}
-
 bool station::service() {
   // The busy-style handshake with shutdown(): mark servicing, then re-check
   // enabled. shutdown() orders its store before the spin, so either we see
@@ -75,19 +62,15 @@ bool station::service() {
 
   bool did_work = false;
   const bool inline_ok = inline_deliveries();
-  const bool stealable = guard_depth() > 0;
 
-  {
+  // Steal only while the rank is inside a guard: anywhere else the rank is
+  // polling for itself, and an uninvited steal would just contend the
+  // mailbox mutex.
+  if (guard_depth() > 0) {
     std::lock_guard lock(pumps_mtx_);
     scratch_ = pumps_;
   }
   for (auto& p : scratch_) {
-    if (!p->engine_advance) continue;  // polling-only registration
-    // Steal only while the rank is inside a guard or parked in wait_empty:
-    // anywhere else the rank is polling for itself, and an uninvited steal
-    // would just contend the mailbox mutex.
-    if (!stealable && !p->parked.load(std::memory_order_acquire)) continue;
-
     p->busy.store(true, std::memory_order_seq_cst);
     if (!p->enabled.load(std::memory_order_seq_cst)) {
       p->busy.store(false, std::memory_order_release);
@@ -158,12 +141,8 @@ engine::~engine() {
 }
 
 void engine::adopt(std::shared_ptr<station> st) {
-  // Lock-free handoff; the ring is comfortably larger than any realistic
-  // number of concurrently-constructed worlds, but push can still fail if
-  // ranks outrun the engine loop — retry, the consumer drains every pass.
-  while (!incoming_.try_push(std::move(st))) {
-    std::this_thread::yield();  // full ring: the consumer drains every pass
-  }
+  std::lock_guard lock(incoming_mtx_);
+  incoming_.push_back(std::move(st));
 }
 
 engine::counters engine::stats() const noexcept {
@@ -204,20 +183,20 @@ void engine::loop() {
 
   int idle_passes = 0;
   while (!stop_.load(std::memory_order_acquire)) {
-    while (auto st = incoming_.try_pop()) {
-      stations_.push_back(std::move(*st));
+    {
+      std::lock_guard lock(incoming_mtx_);
+      for (auto& st : incoming_) stations_.push_back(std::move(st));
+      incoming_.clear();
     }
 
     bool did_work = false;
-    if (!paused_.load(std::memory_order_acquire)) {
-      for (auto it = stations_.begin(); it != stations_.end();) {
-        if (!(*it)->enabled()) {
-          it = stations_.erase(it);
-          continue;
-        }
-        did_work |= (*it)->service();
-        ++it;
+    for (auto it = stations_.begin(); it != stations_.end();) {
+      if (!(*it)->enabled()) {
+        it = stations_.erase(it);
+        continue;
       }
+      did_work |= (*it)->service();
+      ++it;
     }
     passes_.fetch_add(1, std::memory_order_relaxed);
     // Drive the live sampler from this thread: one due-check per pass, a
@@ -262,17 +241,5 @@ guard::guard(core::comm_world& w, deliver policy)
 }
 
 guard::~guard() { st_->exit_guard(inline_); }
-
-void drain(core::comm_world& w) {
-  w.progress_station().for_each_pump([](pump& p) {
-    if (p.rank_poll) p.rank_poll();
-  });
-}
-
-void quiesce(core::comm_world& w) {
-  w.progress_station().for_each_pump([](pump& p) {
-    if (p.rank_quiesce) p.rank_quiesce();
-  });
-}
 
 }  // namespace ygm::progress

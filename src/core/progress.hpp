@@ -1,4 +1,4 @@
-// The YGM progress engine (ROADMAP item 2): opt-in dedicated progress.
+// The YGM progress engine: opt-in dedicated progress.
 //
 // YGM is *pseudo*-asynchronous (paper §IV): nothing moves unless a rank
 // polls, so a rank deep in compute stalls every peer routing through it.
@@ -15,16 +15,19 @@
 //   station  — one per (comm_world, rank): the engine-visible face of a
 //              rank. Owns the rank's registered pumps and the
 //              progress_guard depth.
-//   pump     — one per mailbox: the closures the engine (engine_advance)
-//              and the ygm::progress facade (rank_poll / rank_quiesce)
-//              drive, plus the enable/busy/parked handshake flags.
+//   pump     — one per engine-mode mailbox: the engine_advance closure the
+//              engine drives, plus the enable/busy teardown handshake.
 //   guard    — RAII marking a compute region the engine may steal from.
 //
 // What the engine is allowed to do, and when (the safety contract):
 //
 //   * It only advances a rank's mailboxes while that rank is inside a
-//     progress_guard or parked in wait_empty(). Outside those windows the
-//     rank gets no help — and needs none, because it is polling itself.
+//     progress_guard. Outside a guard the rank gets no help — and needs
+//     none, because it is polling itself.
+//   * It moves communication only: it drains the transport, forwards
+//     intermediary records and delivers (or defers) messages addressed to
+//     the rank. The termination detector is a protocol the rank runs;
+//     wait_empty()/test_empty() drive it from the rank thread alone.
 //   * Mailbox state is protected by a per-mailbox recursive mutex that is
 //     only ever taken in engine mode (polling mode keeps its
 //     zero-synchronization hot path: one predictable branch). The engine
@@ -32,18 +35,14 @@
 //     the engine moves on instead of blocking it.
 //   * Deliveries addressed to the rank are NOT executed on the engine
 //     thread by default: the engine batches them (packet format, trace
-//     escapes included) onto a bounded lock-free ring and the rank thread
-//     runs the callbacks at its next poll()/test_empty()/drain(). The
-//     application therefore never sees its callback race its compute code.
-//     A guard opened with deliver::on_engine opts into engine-side
+//     escapes included) onto a bounded queue under the mailbox mutex, and
+//     the rank thread runs the callbacks at its next poll()/test_empty().
+//     The application therefore never sees its callback race its compute
+//     code. A guard opened with deliver::on_engine opts into engine-side
 //     execution for callbacks that are safe to run concurrently.
-//   * Termination-detector rounds are only advanced for ranks parked in
-//     wait_empty(): a rank inside a guard may still produce messages, and a
-//     produce-capable rank participating in detection rounds could latch a
-//     false global quiescence.
-//   * A full ring is backpressure: the engine stops draining the transport
-//     for that mailbox (messages stay in the mail slot) until the rank
-//     catches up.
+//   * A full deferred queue is backpressure: the engine stops draining the
+//     transport for that mailbox (messages stay in the mail slot) until
+//     the rank catches up.
 //
 // Chaos faults stay injected at the transport seam: the engine drains
 // through the same mpi.iprobe()/recv path as the rank, so visibility
@@ -86,7 +85,7 @@ namespace ygm::progress {
 /// In the order of the knob table's YGM_PROGRESS choices.
 enum class mode {
   polling,  ///< historical behaviour: progress only when a rank polls
-  engine,   ///< dedicated progress thread steals from guarded/parked ranks
+  engine,   ///< dedicated progress thread steals from guarded ranks
 };
 
 inline std::string_view to_string(mode m) noexcept {
@@ -105,104 +104,9 @@ inline mode mode_from_env() {
   return mode(knob::from_env()[knob::id::progress_mode].num);
 }
 
-// -------------------------------------------------------------- mpsc_ring
-
-/// Bounded lock-free multi-producer / single-consumer ring (Vyukov bounded
-/// queue). Two uses here: rank threads handing station registrations to the
-/// engine (true MPSC), and the engine handing deferred delivery batches to
-/// a rank (SPSC — the producer side is still the general algorithm).
-/// Capacity is rounded up to a power of two. try_push never blocks: a full
-/// ring returns false and the producer applies backpressure.
-template <class T>
-class mpsc_ring {
- public:
-  explicit mpsc_ring(std::size_t min_capacity) {
-    std::size_t cap = 1;
-    while (cap < min_capacity) cap <<= 1;
-    slots_ = std::make_unique<slot[]>(cap);
-    mask_ = cap - 1;
-    for (std::size_t i = 0; i < cap; ++i) {
-      slots_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  mpsc_ring(const mpsc_ring&) = delete;
-  mpsc_ring& operator=(const mpsc_ring&) = delete;
-
-  std::size_t capacity() const noexcept { return mask_ + 1; }
-
-  bool try_push(T&& v) noexcept {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      slot& s = slots_[pos & mask_];
-      const std::size_t seq = s.seq.load(std::memory_order_acquire);
-      const std::intptr_t dif = static_cast<std::intptr_t>(seq) -
-                                static_cast<std::intptr_t>(pos);
-      if (dif == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          s.value = std::move(v);
-          s.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // full
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Single consumer only.
-  std::optional<T> try_pop() noexcept {
-    const std::size_t pos = head_;
-    slot& s = slots_[pos & mask_];
-    const std::size_t seq = s.seq.load(std::memory_order_acquire);
-    if (static_cast<std::intptr_t>(seq) !=
-        static_cast<std::intptr_t>(pos + 1)) {
-      return std::nullopt;  // empty (or producer mid-write)
-    }
-    std::optional<T> out(std::move(s.value));
-    s.value = T{};
-    s.seq.store(pos + mask_ + 1, std::memory_order_release);
-    ++head_;
-    return out;
-  }
-
-  /// Consumer-side emptiness (exact for the consumer; producers may be
-  /// mid-push, in which case the entry is visible to the next call).
-  bool empty() const noexcept {
-    const slot& s = slots_[head_ & mask_];
-    return static_cast<std::intptr_t>(s.seq.load(std::memory_order_acquire)) !=
-           static_cast<std::intptr_t>(head_ + 1);
-  }
-
-  /// Producer-side fullness hint (exact under a single producer).
-  bool full() const noexcept {
-    const std::size_t pos = tail_.load(std::memory_order_relaxed);
-    const slot& s = slots_[pos & mask_];
-    return static_cast<std::intptr_t>(s.seq.load(std::memory_order_acquire)) <
-           static_cast<std::intptr_t>(pos);
-  }
-
- private:
-  struct slot {
-    std::atomic<std::size_t> seq{0};
-    T value{};
-  };
-
-  std::unique_ptr<slot[]> slots_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> tail_{0};  // producers
-  alignas(64) std::size_t head_ = 0;              // single consumer
-};
-
 // ------------------------------------------------------------------- pump
 
-/// One mailbox's registration with its station. The engine drives
-/// engine_advance (nullptr when the mailbox opted out, e.g. timed worlds);
-/// the ygm::progress facade drives rank_poll/rank_quiesce on the rank
-/// thread in both modes.
+/// One engine-mode mailbox's registration with its station.
 struct pump {
   /// Cleared by the mailbox destructor (via station::remove_pump) before
   /// the mailbox dies; the engine never invokes a disabled pump.
@@ -210,17 +114,10 @@ struct pump {
   /// Set by the engine around each engine_advance call; remove_pump spins
   /// on it so teardown cannot race a steal in flight.
   std::atomic<bool> busy{false};
-  /// Set by the mailbox while its owner blocks in wait_empty() — the only
-  /// window in which the engine may advance termination rounds.
-  std::atomic<bool> parked{false};
 
   /// Engine thread. Returns true if any progress was made. The bool asks
   /// for engine-side callback execution (guard deliver::on_engine).
   std::function<bool(bool inline_deliveries)> engine_advance;
-  /// Rank thread (facade drain()).
-  std::function<void()> rank_poll;
-  /// Rank thread (facade quiesce(); collective).
-  std::function<void()> rank_quiesce;
 };
 
 // ---------------------------------------------------------------- station
@@ -229,9 +126,9 @@ class engine;
 
 /// One rank's face toward the engine: pumps, guard depth, and the transport
 /// endpoint whose progress_hook the engine donates cycles to. Created by
-/// comm_world (always — the ygm::progress facade works in polling mode
-/// too); registered with the engine only when one is installed and the
-/// world is eligible (untimed).
+/// comm_world (always — progress::guard works in polling mode too);
+/// registered with the engine only when one is installed and the world is
+/// eligible (untimed).
 class station {
  public:
   station(engine* eng, transport::endpoint* ep);
@@ -256,9 +153,6 @@ class station {
   /// spins out a service pass in flight). comm_world's destructor calls
   /// this before the endpoint can die.
   void shutdown() noexcept;
-
-  /// Rank-side iteration for the facade (drain()/quiesce()).
-  void for_each_pump(const std::function<void(pump&)>& f);
 
   // -------------------------------------------------- mailbox-side state
 
@@ -301,7 +195,7 @@ struct engine_options {
   int spin_passes = 16;
   /// Sleep between passes once idle (microseconds).
   std::chrono::microseconds idle_sleep{100};
-  /// Slots in each mailbox's deferred-delivery ring (batches, one per
+  /// Cap on each mailbox's deferred-delivery queue (batches, one per
   /// engine drain pass).
   std::size_t ring_slots = 64;
 };
@@ -330,18 +224,9 @@ class engine {
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
 
-  /// Register a station (thread-safe; lock-free handoff to the engine
-  /// loop). The engine holds a reference until the station shuts down.
+  /// Register a station (thread-safe; the engine loop picks it up on its
+  /// next pass). The engine holds a reference until the station shuts down.
   void adopt(std::shared_ptr<station> st);
-
-  /// Pause/resume stealing without tearing the thread down (mid-run
-  /// start/stop). Mailboxes stay in engine mode; ranks simply stop getting
-  /// help while paused.
-  void pause() noexcept { paused_.store(true, std::memory_order_release); }
-  void resume() noexcept { paused_.store(false, std::memory_order_release); }
-  bool paused() const noexcept {
-    return paused_.load(std::memory_order_acquire);
-  }
 
   counters stats() const noexcept;
 
@@ -355,12 +240,12 @@ class engine {
 
   int telemetry_world_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> steal_attempts_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> hook_pumps_{0};
-  mpsc_ring<std::shared_ptr<station>> incoming_{256};
+  std::mutex incoming_mtx_;
+  std::vector<std::shared_ptr<station>> incoming_;  // guarded by incoming_mtx_
   std::vector<std::shared_ptr<station>> stations_;  // engine thread only
   std::thread thread_;
 };
@@ -393,14 +278,13 @@ class engine_scope {
 
 // ------------------------------------------------------------- rank facade
 //
-// The ygm::progress surface applications use instead of raw mailbox
-// poll_incoming()/flush() passthroughs. All of it works in polling mode too
-// (guard becomes a no-op marker, drain/quiesce drive the mailboxes from the
-// rank thread), so application code is mode-independent.
+// The ygm::progress surface applications use. It works in polling mode too
+// (guard becomes a no-op marker), so application code is mode-independent.
 
 /// Delivery policy for a guard region.
 enum class deliver {
-  deferred,   ///< engine batches callbacks; the rank runs them at drain
+  deferred,   ///< engine batches callbacks; the rank runs them at its next
+              ///< poll()/test_empty()
   on_engine,  ///< engine runs callbacks directly (caller asserts safety)
 };
 
@@ -421,13 +305,5 @@ class guard {
   station* st_;
   bool inline_ = false;
 };
-
-/// Deliver any engine-deferred callbacks and opportunistically poll every
-/// mailbox of the world, on the calling rank's thread. Safe in any mode.
-void drain(core::comm_world& w);
-
-/// Collective: wait_empty() every mailbox of the world, in construction
-/// order (identical across ranks by the mailbox tag-block contract).
-void quiesce(core::comm_world& w);
 
 }  // namespace ygm::progress

@@ -1,10 +1,10 @@
 // Progress-engine tests (core/progress.hpp, docs/PROGRESS.md).
 //
-// Covers the redesigned progress-control API end to end: the ygm::launch
-// entry point and its precedence rules, the mpsc_ring handoff primitive,
-// engine steal/pause/resume semantics, exception propagation from
-// engine-executed callbacks, teardown with traffic still in flight, the
-// reentrancy/engine-race exchange claim, and a ledger-verified chaos sweep
+// Covers the progress-control API end to end: the ygm::launch entry point
+// and its precedence rules, engine steal semantics, exception propagation
+// from engine-executed callbacks, teardown with traffic still in flight,
+// the reentrancy/engine-race exchange claim, termination under the engine
+// (rank-thread-only detector rounds), and a ledger-verified chaos sweep
 // across {inproc, socket} x {engine, polling}.
 #include <gtest/gtest.h>
 
@@ -18,8 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "apps/connected_components.hpp"
 #include "core/invariants.hpp"
 #include "core/ygm.hpp"
+#include "graph/rmat.hpp"
 #include "routing/router.hpp"
 #include "telemetry/causal.hpp"
 #include "telemetry/journey.hpp"
@@ -104,67 +106,6 @@ TEST(ProgressMode, EnvDefaultsToPollingAndRejectsTypos) {
   }
 }
 
-// --------------------------------------------------------------- mpsc_ring
-
-TEST(MpscRing, CapacityRoundsUpToPowerOfTwo) {
-  ygm::progress::mpsc_ring<int> r(3);
-  EXPECT_EQ(r.capacity(), 4u);
-  ygm::progress::mpsc_ring<int> r2(64);
-  EXPECT_EQ(r2.capacity(), 64u);
-}
-
-TEST(MpscRing, FifoAndBackpressure) {
-  ygm::progress::mpsc_ring<int> r(4);
-  EXPECT_TRUE(r.empty());
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(r.try_push(int(i)));
-  EXPECT_TRUE(r.full());
-  int overflow = 99;
-  EXPECT_FALSE(r.try_push(std::move(overflow)));  // full: backpressure
-  for (int i = 0; i < 4; ++i) {
-    const auto v = r.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);  // FIFO
-  }
-  EXPECT_FALSE(r.try_pop().has_value());
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(MpscRing, MultiProducerExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  ygm::progress::mpsc_ring<std::uint64_t> r(64);
-  std::atomic<int> done{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&r, &done, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::uint64_t v = (std::uint64_t(p) << 32) | std::uint64_t(i);
-        while (!r.try_push(std::move(v))) std::this_thread::yield();
-      }
-      done.fetch_add(1);
-    });
-  }
-  // Single consumer: every pushed value arrives exactly once, in order per
-  // producer.
-  std::vector<std::uint64_t> next(kProducers, 0);
-  std::uint64_t popped = 0;
-  while (popped < std::uint64_t(kProducers) * kPerProducer) {
-    if (auto v = r.try_pop()) {
-      const auto p = *v >> 32;
-      const auto i = *v & 0xffffffffu;
-      ASSERT_LT(p, std::uint64_t(kProducers));
-      EXPECT_EQ(i, next[static_cast<std::size_t>(p)]);
-      ++next[static_cast<std::size_t>(p)];
-      ++popped;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(r.empty());
-}
-
 // ------------------------------------------------- launch + precedence
 
 TEST(Launch, FieldBeatsEnvBeatsDefault) {
@@ -214,7 +155,7 @@ TEST(Launch, CollectRoundTrips) {
 
 // ------------------------------------------------------ engine mechanics
 
-TEST(ProgressEngine, StartStopMidRunAndCounters) {
+TEST(ProgressEngine, LoopRunsAndCountsPasses) {
   ygm::run_options o;
   o.nranks = 2;
   o.progress_mode = ygm::progress::mode::engine;
@@ -228,11 +169,6 @@ TEST(ProgressEngine, StartStopMidRunAndCounters) {
       EXPECT_TRUE(wait_until(
           [&] { return eng->stats().passes > before; },
           std::chrono::seconds(5)));
-      // Mid-run stop/start: pause is observable and reversible.
-      eng->pause();
-      EXPECT_TRUE(eng->paused());
-      eng->resume();
-      EXPECT_FALSE(eng->paused());
     }
     c.barrier();
   });
@@ -289,10 +225,10 @@ TEST(ProgressEngine, DeferredDeliveriesRunOnRankThreadAtDrain) {
       mb.flush();
     } else {
       // Default (deferred) guard: the engine may drain the transport but
-      // the callbacks only run on this thread, at drain()/wait_empty().
+      // the callbacks only run on this thread, at poll()/wait_empty().
       ygm::progress::guard g(world, ygm::progress::deliver::deferred);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ygm::progress::drain(world);
+      mb.poll();
     }
     mb.wait_empty();
     if (c.rank() == 1) {
@@ -421,6 +357,147 @@ TEST(ProgressEngine, DeferredHandoffAddsNoCausalLeg) {
   for (const auto& [key, j] : journeys) {
     EXPECT_TRUE(j.complete());
     EXPECT_LE(j.legs(), static_cast<std::size_t>(route.max_hops()));
+  }
+}
+
+// Revert guard for two engine-path reentrancy bugs. (a) The rank thread
+// ran engine-deferred callbacks without the exchange claim, so a callback
+// that polled re-entered the deferred drain once per queued batch
+// (max_depth read 13-17 instead of 1). (b) A test_empty() from such a
+// callback ran detector rounds over deliveries counted as received but not
+// yet run; the callback ignored the verdict, the peer left, and this
+// rank's wait_empty() hung. Engine-mode twin of
+// Mailbox.ReentrantPollFromCallbackIsANoOp, with the receiver inside a
+// guard so the engine really defers the deliveries.
+TEST(ProgressEngine, ReentrantPollFromDeferredCallbackIsANoOp) {
+  ygm::run_options o;
+  o.nranks = 2;
+  o.progress_mode = ygm::progress::mode::engine;
+  ygm::launch(o, [](sim::comm& c) {
+    comm_world world(c, 1, scheme_kind::no_route);
+    mailbox<std::uint64_t>* mbp = nullptr;
+    int depth = 0;
+    int max_depth = 0;
+    std::uint64_t got = 0;
+    mailbox<std::uint64_t> mb(
+        world,
+        [&](const std::uint64_t& v) {
+          ++depth;
+          if (depth > max_depth) max_depth = depth;
+          got += v;
+          mbp->poll();
+          mbp->test_empty();
+          --depth;
+        },
+        64);
+    mbp = &mb;
+    ygm::progress::guard g(world);
+    if (c.rank() == 1) {
+      for (int i = 0; i < 100; ++i) mb.send(0, 1);
+      mb.flush();
+    } else {
+      // Let the engine defer the batches before the rank runs any of them.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    mb.wait_empty();
+    if (c.rank() == 0) {
+      EXPECT_EQ(got, 100u);
+      EXPECT_EQ(max_depth, 1);
+    }
+  });
+}
+
+// ------------------------------------------ termination under the engine
+//
+// Revert guards for the engine termination hang: the engine used to run
+// detector rounds on behalf of a rank parked in wait_empty(), and kept
+// starting rounds after a verdict it had already latched. That rank's
+// detector then drifted out of step with ranks that returned on their own,
+// and the next wait_empty() never completed. These cases hang (and hit
+// their ctest TIMEOUT) when the engine runs the detector again.
+
+/// Runs `body` on every rank and returns each rank's result. Checks made
+/// from these values hold on the forked backends too, where an EXPECT in a
+/// rank body never reaches the test process.
+std::vector<std::uint64_t> collect_u64(
+    const ygm::run_options& o,
+    const std::function<std::uint64_t(sim::comm&)>& body) {
+  std::vector<std::uint64_t> out;
+  for (const auto& blob : ygm::launch_collect(o, [&](sim::comm& c) {
+         std::vector<std::byte> b;
+         ygm::ser::append_bytes(body(c), b);
+         return b;
+       })) {
+    out.push_back(
+        ygm::ser::from_bytes<std::uint64_t>({blob.data(), blob.size()}));
+  }
+  return out;
+}
+
+TEST(EngineTermination, BackToBackWaitEmptyThenSendEpoch) {
+  const topology topo(2, 2);
+  ygm::run_options o;
+  o.nranks = topo.num_ranks();
+  o.progress_mode = ygm::progress::mode::engine;
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto deliveries = collect_u64(o, [&](sim::comm& c) {
+      comm_world world(c, topo, scheme_kind::node_remote);
+      mailbox<int> mb(world, [](const int&) {});
+      mb.wait_empty();
+      mb.wait_empty();
+      for (int d = 0; d < c.size(); ++d) {
+        if (d != c.rank()) mb.send(d, 1);
+      }
+      mb.wait_empty();
+      return mb.stats().deliveries;
+    });
+    for (const auto d : deliveries) {
+      ASSERT_EQ(d, std::uint64_t(topo.num_ranks() - 1))
+          << "wait_empty returned before delivery, repetition " << rep;
+    }
+  }
+}
+
+TEST(EngineTermination, ConnectedComponentsOnRmatRepeated) {
+  using ygm::graph::edge;
+  using ygm::graph::vertex_id;
+  const topology topo(2, 2);
+  const int scale = 9;
+  const vertex_id n = vertex_id{1} << scale;
+  std::vector<edge> all;
+  for (int r = 0; r < topo.num_ranks(); ++r) {
+    ygm::graph::rmat_generator(scale, 4000,
+                               ygm::graph::rmat_params::graph500(), 5, r,
+                               topo.num_ranks())
+        .for_each([&](const edge& e) { all.push_back(e); });
+  }
+  const auto oracle = ygm::apps::connected_components_reference(n, all);
+
+  ygm::run_options o;
+  o.nranks = topo.num_ranks();
+  o.progress_mode = ygm::progress::mode::engine;
+  for (int rep = 0; rep < 20; ++rep) {
+    // Each rank reports how many of its labels differ from the oracle.
+    const auto wrong = collect_u64(o, [&](sim::comm& c) {
+      comm_world world(c, topo, scheme_kind::node_remote);
+      const ygm::graph::round_robin_partition part{c.size()};
+      std::vector<edge> mine;
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (static_cast<int>(i % static_cast<std::size_t>(c.size())) ==
+            c.rank()) {
+          mine.push_back(all[i]);
+        }
+      }
+      const auto res = ygm::apps::connected_components(
+          world, mine, n, ygm::graph::delegate_set{}, 1024);
+      std::uint64_t bad = 0;
+      for (std::uint64_t i = 0; i < res.local_labels.size(); ++i) {
+        if (res.local_labels[i] != oracle[part.global_id(c.rank(), i)]) ++bad;
+      }
+      return bad;
+    });
+    ASSERT_EQ(wrong.size(), std::size_t(topo.num_ranks()));
+    for (const auto w : wrong) ASSERT_EQ(w, 0u) << "repetition " << rep;
   }
 }
 
